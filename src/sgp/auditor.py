@@ -212,24 +212,22 @@ class _Surface:
 
     def feed(self, uri: str) -> tuple[tuple[ChangeEvent, ...] | None, str | None]:
         """(events, problem): events is None when the feed cannot be read,
-        the sample cap applied otherwise."""
+        every parsed event otherwise; checks apply the sample cap."""
         try:
             body = self._client.fetch_resource(uri).body
-            events = parse_change_list(body).events
+            return parse_change_list(body).events, None
         except NavigationError as exc:
             return None, f"feed unavailable: {exc}"
         except ChangeListError as exc:
             return None, f"feed unreadable: {exc}"
-        if self._sample is not None:
-            events = events[: self._sample]
-        return events, None
 
 
 class Auditor:
     """Runs the twelve checks and never writes anything anywhere.
 
     ``sample`` caps how many feed events and linked documents each check
-    inspects; None removes the cap.
+    inspects; None removes the cap. R5 alone looks at every feed event,
+    since the entry's own event may come anywhere in the feed.
     """
 
     def __init__(
@@ -284,12 +282,18 @@ class Auditor:
             results=tuple(self._publisher_checks(surface, entry_uri, feed_uri)),
         )
 
+    def _capped(self, events):
+        if events is None or self._sample is None:
+            return events
+        return events[: self._sample]
+
     # -- registrar side
 
     def _registrar_checks(
         self, surface: _Surface, feed_uri: str, entry_uri: str | None
     ) -> list[CheckResult]:
         events, problem = surface.feed(feed_uri)
+        events = self._capped(events)
         results = [self._r1(feed_uri, events, problem)]
         results.append(self._r2(feed_uri, events or ()))
         results.append(self._r3(surface, events or (), entry_uri))
@@ -374,7 +378,11 @@ class Auditor:
         if feed_uri is None:
             origin = urlsplit(entry_uri)
             feed_uri = f"{origin.scheme}://{origin.netloc}/changelist.xml"
-        events, problem = surface.feed(feed_uri)
+        every_event, problem = surface.feed(feed_uri)
+        every_active = tuple(
+            e for e in (every_event or ()) if e.kind is not ChangeKind.DELETED
+        )
+        events = self._capped(every_event)
         active = tuple(
             e for e in (events or ()) if e.kind is not ChangeKind.DELETED
         )
@@ -396,7 +404,7 @@ class Auditor:
 
         results = [
             self._r4(feed_uri, events, problem),
-            self._r5(feed_uri, entry_uri, active),
+            self._r5(feed_uri, entry_uri, every_active),
             self._r6(feed_uri, active),
             self._r7(surface, entry_uri, entry_links),
             self._r8(surface, entry_uri, members),

@@ -14,6 +14,7 @@ SGP_STORE), ``--config`` JSON file, built-in default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -55,6 +56,7 @@ from .links import MalformedLinkField, link_to_json
 from .navigator import HttpError, NavigationError, SignpostClient
 from .resources import DEFAULT_POLICY, NoEntryPage, ResourcePolicy, ScholarlyObject
 from .resourcesync import (
+    ChangeDumpIndex,
     ChangeEvent,
     ChangeKind,
     ChangeList,
@@ -325,38 +327,35 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
             )
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise _Usage(f"cannot load policy {args.policy}: {exc}") from exc
-    dump_bytes = None
-    if args.dump:
-        try:
-            dump_bytes = Path(args.dump).read_bytes()
-        except OSError as exc:
-            raise _Usage(f"cannot read dump {args.dump}: {exc}") from exc
+    try:
+        opened = ChangeDumpIndex(args.dump) if args.dump else contextlib.nullcontext()
+    except OSError as exc:
+        raise _Usage(f"cannot read dump {args.dump}: {exc}") from exc
 
-    client = SignpostClient()
-    policy = _derived_policy(args.feed, args.persistent_prefix)
-    feed = parse_change_list(client.fetch_resource(args.feed).body or b"")
-    mode = IngestMode.DUMP if dump_bytes is not None else IngestMode.HARVEST
-    tasks = plan_from_feed(
-        feed, mode=mode, filter_tag=args.filter_tag, dump=dump_bytes
-    )
-    store = IngestStore(store_dir)
-    registrar = CrossRefClient(api_base=api_base)
-    records = []
-    for task in tasks:
-        if task.tombstone:
-            records.append(record_tombstone(task, store))
-        else:
-            records.append(
-                ingest(
-                    task,
-                    client,
-                    store,
-                    substance,
-                    registrar,
-                    resource_policy=policy,
-                    verify_live=args.verify_live,
+    with opened as dump:
+        client = SignpostClient()
+        policy = _derived_policy(args.feed, args.persistent_prefix)
+        feed = parse_change_list(client.fetch_resource(args.feed).body or b"")
+        mode = IngestMode.DUMP if dump is not None else IngestMode.HARVEST
+        tasks = plan_from_feed(feed, mode=mode, filter_tag=args.filter_tag, dump=dump)
+        store = IngestStore(store_dir)
+        registrar = CrossRefClient(api_base=api_base, throttle=client.throttle)
+        records = []
+        for task in tasks:
+            if task.tombstone:
+                records.append(record_tombstone(task, store))
+            else:
+                records.append(
+                    ingest(
+                        task,
+                        client,
+                        store,
+                        substance,
+                        registrar,
+                        resource_policy=policy,
+                        verify_live=args.verify_live,
+                    )
                 )
-            )
     _emit_json(
         {
             "schema_version": 1,

@@ -789,6 +789,9 @@ class FixtureEndpoint:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # headers and body go out in separate writes; with Nagle on, the body
+    # waits for the client's delayed ACK (about 40 ms a response)
+    disable_nagle_algorithm = True
 
     def log_message(self, *args) -> None:
         pass

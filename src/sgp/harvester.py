@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import io
 import json
 import threading
 from dataclasses import dataclass, field, replace
@@ -44,11 +45,12 @@ from .resources import (
     object_from_links,
     validate_object,
 )
-from .resourcesync import (
-    ChangeDumpManifest,
+from .resourcesync import (  # noqa: F401 - perfbench/tracing.py wraps unpack_change_dump here
+    ChangeDumpIndex,
     ChangeEvent,
     ChangeKind,
     ChangeList,
+    CorruptArchive,
     emit_publisher_event,
     emit_resource_event,
     pack_change_dump,
@@ -92,12 +94,16 @@ class IngestMode(enum.Enum):
 
 @dataclass(frozen=True)
 class IngestTask:
-    """One unit of work derived from a feed event."""
+    """One unit of work derived from a feed event.
+
+    ``dump`` is an open ChangeDumpIndex, which every task of one replay
+    can share, or the raw bytes of a dump holding this task's object.
+    """
 
     trigger: ChangeEvent
     mode: IngestMode = IngestMode.HARVEST
     filter_tag: str | None = None
-    dump: bytes | None = None
+    dump: ChangeDumpIndex | bytes | None = None
 
     @property
     def tombstone(self) -> bool:
@@ -110,7 +116,7 @@ def plan_from_feed(
     mode: IngestMode = IngestMode.HARVEST,
     filter_tag: str | None = None,
     predicate: Callable[[ChangeEvent], bool] | None = None,
-    dump: bytes | None = None,
+    dump: ChangeDumpIndex | bytes | None = None,
 ) -> list[IngestTask]:
     """One task per event passing the filter; Deleted events become
     tombstone tasks. Order follows the feed."""
@@ -796,15 +802,6 @@ def _ingest_harvest(
     )
 
 
-def _entry_media_from_manifest(manifest: ChangeDumpManifest, entry_uri: str) -> str | None:
-    # the collection backlinks inside the dump characterise the entry
-    for _, event in manifest.entries:
-        for link in event.links.select("collection"):
-            if link.target == entry_uri and link.attrs.media_type:
-                return link.attrs.media_type
-    return None
-
-
 def _ingest_dump(
     task: IngestTask,
     store: IngestStore,
@@ -816,20 +813,24 @@ def _ingest_dump(
 ) -> IngestRecord:
     if task.dump is None:
         raise ValueError("dump-mode task without dump bytes")
+    if not isinstance(task.dump, ChangeDumpIndex):
+        with ChangeDumpIndex(io.BytesIO(task.dump)) as index:
+            return _ingest_dump(
+                replace(task, dump=index), store, policy, nav=nav,
+                resource_policy=resource_policy, verify_live=verify_live,
+            )
+    index = task.dump
     trigger = task.trigger
-    manifest, payloads = unpack_change_dump(task.dump)
-    by_loc: dict[str, tuple[str | None, ChangeEvent]] = {
-        event.loc: (path, event) for path, event in manifest.entries
-    }
 
     links = trigger.links
-    if not links and trigger.loc in by_loc:
-        links = by_loc[trigger.loc][1].links
+    own = index.entry(trigger.loc)
+    if not links and own is not None:
+        links = own[1].links
     obj = object_from_links(
         trigger.loc,
         links,
         policy=resource_policy,
-        entry_media_type=_entry_media_from_manifest(manifest, trigger.loc),
+        entry_media_type=index.entry_media_type(trigger.loc),
     )
 
     fetches: list[FetchSummary] = []
@@ -838,23 +839,27 @@ def _ingest_dump(
     stamp = utcnow()
 
     def take(uri: str, media: str | None) -> bytes | None:
-        found = by_loc.get(uri)
+        found = index.entry(uri)
         if found is None or found[0] is None:
             failures.append((uri, "missing from dump"))
             fetches.append(FetchSummary(uri=uri, status=None))
             return None
         path, event = found
-        payload = payloads[path]
+        try:
+            payload = index.read(path)
+        except CorruptArchive as exc:
+            failures.append((uri, f"unreadable in dump: {exc}"))
+            fetches.append(FetchSummary(uri=uri, status=None))
+            return None
         if event.fixity is not None:
             verdict = verify_fixity(payload, event.fixity)
             if not verdict:
                 failures.append((uri, f"fixity: {verdict.reason}"))
-        store.store_payload(payload)
         fetches.append(
             FetchSummary(
                 uri=uri,
                 status=200,
-                sha256=hashlib.sha256(payload).hexdigest(),
+                sha256=store.store_payload(payload),
                 length=len(payload),
                 media_type=media,
                 fetched_at=stamp,
@@ -869,7 +874,7 @@ def _ingest_dump(
 
     registrar_record: BibRecord | None = None
     works_target = _registrar_target(obj)
-    if works_target is not None and works_target in by_loc:
+    if works_target is not None and index.entry(works_target) is not None:
         payload = take(works_target, "application/json")
         if payload is not None:
             try:
@@ -883,7 +888,7 @@ def _ingest_dump(
     for bib in obj.bibliographic_resources:
         if bib.uri == works_target or bib.profile == CROSSREF_JSON_PROFILE:
             continue
-        if bib.uri not in by_loc:
+        if index.entry(bib.uri) is None:
             continue
         try:
             parser = parser_for(bib.profile, bib.media_type)

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import enum
 import io
+import os
 import queue
 import threading
 import warnings
 import zipfile
+import zlib
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Sequence
 from xml.etree import ElementTree as ET
 
 from .crossref import CROSSREF_PROFILE, CrossRefWork, MissingDoi, metadata_uri_for, normalize_doi
@@ -48,6 +50,7 @@ __all__ = [
     "ChangeEvent",
     "ChangeList",
     "ChangeDumpManifest",
+    "ChangeDumpIndex",
     "ChangeListError",
     "MalformedXml",
     "MissingChangeAttribute",
@@ -571,44 +574,103 @@ def pack_change_dump(
     return buffer.getvalue()
 
 
-def unpack_change_dump(
-    data: bytes,
-    *,
-    strict: bool = False,
-    vocabulary: Vocabulary = DEFAULT_VOCABULARY,
-) -> tuple[ChangeDumpManifest, dict[str, bytes]]:
-    try:
-        archive = zipfile.ZipFile(io.BytesIO(data))
-    except zipfile.BadZipFile as exc:
-        raise CorruptArchive(str(exc)) from exc
-    with archive:
-        names = set(archive.namelist())
+class ChangeDumpIndex:
+    """A change dump opened once: the manifest is parsed and validated
+    up front, members are read from the archive only when asked for.
+
+    ``source`` is a path or a seekable binary file object; the archive is
+    not read into memory. A path is opened here and closed by ``close``
+    (or on leaving a ``with`` block); a file object stays the caller's.
+    Where a loc appears twice in the manifest, the later entry wins.
+    """
+
+    def __init__(
+        self,
+        source: str | os.PathLike | IO[bytes],
+        *,
+        strict: bool = False,
+        vocabulary: Vocabulary = DEFAULT_VOCABULARY,
+    ):
+        try:
+            self._archive = zipfile.ZipFile(source)
+        except zipfile.BadZipFile as exc:
+            raise CorruptArchive(str(exc)) from exc
+        try:
+            self.manifest = self._read_manifest(strict, vocabulary)
+        except BaseException:
+            self._archive.close()
+            raise
+        self._by_loc = {event.loc: (path, event) for path, event in self.manifest.entries}
+        # the collection backlinks inside the dump characterise entry pages
+        self._entry_media: dict[str, str] = {}
+        for _, event in self.manifest.entries:
+            for link in event.links.select("collection"):
+                if link.attrs.media_type:
+                    self._entry_media.setdefault(link.target, link.attrs.media_type)
+
+    def _read_manifest(self, strict: bool, vocabulary: Vocabulary) -> ChangeDumpManifest:
+        names = set(self._archive.namelist())
         if "manifest.xml" not in names:
             raise CorruptArchive("no manifest.xml in archive")
         entries, _, _, _ = _parse_urlset(
-            archive.read("manifest.xml"),
+            self.read("manifest.xml"),
             "changedump-manifest",
             strict,
             vocabulary,
             with_paths=True,
         )
         seen: set[str] = set()
-        payloads: dict[str, bytes] = {}
         manifest_entries: list[tuple[str | None, ChangeEvent]] = []
         for event, path in entries:
-            if event.kind != ChangeKind.DELETED:
-                if not path:
-                    raise CorruptArchive(f"{event.loc}: manifest entry without path")
-                if path in seen:
-                    raise ManifestPathCollision(path)
-                seen.add(path)
-                if path not in names:
-                    raise CorruptArchive(f"{event.loc}: {path} missing from archive")
-                payloads[path] = archive.read(path)
-                manifest_entries.append((path, event))
-            else:
+            if event.kind == ChangeKind.DELETED:
                 manifest_entries.append((None, event))
-    return ChangeDumpManifest(entries=tuple(manifest_entries)), payloads
+                continue
+            if not path:
+                raise CorruptArchive(f"{event.loc}: manifest entry without path")
+            if path in seen:
+                raise ManifestPathCollision(path)
+            seen.add(path)
+            if path not in names:
+                raise CorruptArchive(f"{event.loc}: {path} missing from archive")
+            manifest_entries.append((path, event))
+        return ChangeDumpManifest(entries=tuple(manifest_entries))
+
+    def entry(self, loc: str) -> tuple[str | None, ChangeEvent] | None:
+        """(archive path, event) for ``loc``; the path is None for a
+        Deleted entry, and the result None when the dump lacks ``loc``."""
+        return self._by_loc.get(loc)
+
+    def entry_media_type(self, entry_uri: str) -> str | None:
+        """Media type a collection backlink in the dump gives the entry page."""
+        return self._entry_media.get(entry_uri)
+
+    def read(self, path: str) -> bytes:
+        try:
+            return self._archive.read(path)
+        except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
+            raise CorruptArchive(f"{path}: {exc}") from exc
+
+    def close(self) -> None:
+        self._archive.close()
+
+    def __enter__(self) -> "ChangeDumpIndex":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def unpack_change_dump(
+    data: bytes,
+    *,
+    strict: bool = False,
+    vocabulary: Vocabulary = DEFAULT_VOCABULARY,
+) -> tuple[ChangeDumpManifest, dict[str, bytes]]:
+    with ChangeDumpIndex(io.BytesIO(data), strict=strict, vocabulary=vocabulary) as index:
+        payloads = {
+            path: index.read(path) for path, _ in index.manifest.entries if path is not None
+        }
+    return index.manifest, payloads
 
 
 def verify_dump(

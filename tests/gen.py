@@ -12,8 +12,10 @@ from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 from sgp.fixity import compute_fixity
+from sgp.fixtures import FixtureSpec, landing_spec, plos_spec
 from sgp.links import LinkAttributes, LinkSet, RelationType, TypedLink
 from sgp.resourcesync import ChangeEvent, ChangeKind, ChangeList
+from sgp.rfc3339 import format_rfc3339, parse_rfc3339
 
 REL_TOKENS = ["item", "collection", "describedby", "describes", "type", "persistent-id"]
 MEDIA_TYPES = [
@@ -322,3 +324,24 @@ def random_ingest_record(rng: random.Random) -> "IngestRecord":
         tombstone=rng.random() < 0.1,
         created_at=random_datetime(rng),
     )
+
+
+def distinct_specs(count: int, patterns=(plos_spec, landing_spec)) -> list[FixtureSpec]:
+    """``count`` compliant objects for one fixture server, cycling through
+    ``patterns``, each under its own path prefix with its own DOI and its
+    own deposit minute."""
+    specs = []
+    for index in range(count):
+        base = patterns[index % len(patterns)]()
+        root = f"/obj{index}"
+        deposited = parse_rfc3339(base.deposited) + timedelta(minutes=index)
+        specs.append(
+            replace(
+                base,
+                doi=f"{base.doi}.{index}",
+                entry_path=root + base.entry_path,
+                assets=tuple(replace(a, path=root + a.path) for a in base.assets),
+                deposited=format_rfc3339(deposited),
+            )
+        )
+    return specs

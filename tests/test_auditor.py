@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from gen import distinct_specs
 
 from sgp.auditor import (
     AuditReport,
@@ -15,6 +16,7 @@ from sgp.auditor import (
 )
 from sgp.fixtures import ABLATION_RECOMMENDATION, degrade, landing_spec, plos_spec, serve
 from sgp.navigator import PolitenessPolicy, SignpostClient
+from sgp.resourcesync import parse_change_list
 
 FAST = PolitenessPolicy(timeout=5, backoff=0.01)
 
@@ -180,6 +182,22 @@ class TestCompliantEndpoint:
                     registrar_feed=ep.uri("/registrar/changelist.xml"),
                 )
                 assert rpt.all_passed, (view.entry_uri, [r.check_id for r in rpt.failed])
+
+    def test_entry_beyond_the_sample_is_located(self):
+        # R5 must find the entry's own event anywhere in the feed, while
+        # every other check still reads only the first `sample` events
+        with serve(*distinct_specs(8, patterns=(plos_spec,))) as ep:
+            client = SignpostClient(FAST)
+            feed = parse_change_list(client.fetch_resource(ep.publisher_feed_uri).body)
+            order = [event.loc for event in feed.events]
+            counts = []
+            for entry_uri in (order[0], order[5]):
+                ep.clear_log()
+                rpt = _audit(ep, entry_uri)
+                counts.append(len(ep.log()))
+                assert rpt.result_for("R5").verdict is Verdict.PASS, entry_uri
+                assert rpt.all_passed, (entry_uri, [r.check_id for r in rpt.failed])
+        assert counts[0] == counts[1]
 
     def test_audit_is_read_only(self, endpoint):
         endpoint.clear_log()

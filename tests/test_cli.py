@@ -8,10 +8,20 @@ import urllib.request
 from pathlib import Path
 
 import pytest
+from gen import distinct_specs
 
+from sgp import cli, resourcesync
 from sgp.cli import run
 from sgp.fixtures import FixtureSpec, degrade, landing_spec, plos_spec, serve
-from sgp.resourcesync import parse_change_list
+from sgp.harvester import pack_object_dump
+from sgp.navigator import HostThrottle, SignpostClient
+from sgp.resourcesync import (
+    ChangeDumpIndex,
+    pack_change_dump,
+    parse_change_list,
+    unpack_change_dump,
+)
+from sgp.rfc3339 import parse_rfc3339
 
 DOI = "10.1371/journal.pone.0115253"
 DATA = Path(__file__).parent / "data"
@@ -261,6 +271,125 @@ class TestHarvest:
         )
         assert rc == 0
         assert (tmp_path / "from-config" / "journal.log").exists()
+
+    def test_registrar_lookups_share_the_throttle(self, tmp_path, monkeypatch, capsys):
+        # without describedby the registrar is asked through the works API
+        acquired = []
+        acquire = HostThrottle.acquire
+
+        def counting(throttle, host):
+            acquired.append(host)
+            return acquire(throttle, host)
+
+        monkeypatch.setattr(HostThrottle, "acquire", counting)
+        with serve(degrade(plos_spec(), "no-entry-describedby")) as ep:
+            rc = run(
+                [
+                    "harvest",
+                    "--feed",
+                    ep.publisher_feed_uri,
+                    "--store",
+                    str(tmp_path / "store"),
+                    "--api-base",
+                    ep.base_uri,
+                ]
+            )
+            log = ep.log()
+        payload, _ = _out_json(capsys)
+        assert rc == 0
+        assert payload["records"][0]["bibliography"]["record"]["doi"] == ep.spec.doi
+        assert any(entry.path.startswith("/works/") for entry in log)
+        assert len(acquired) == len(log)
+
+
+def _dump_of(ep) -> bytes:
+    """One change dump holding every object the endpoint serves."""
+    client = SignpostClient()
+    entries = []
+    for view in ep.views:
+        obj = view.scholarly_object()
+        uris = [*obj.publication_uris, *(b.uri for b in obj.bibliographic_resources)]
+        bodies = {uri: client.fetch_resource(uri).body for uri in uris}
+        _, one = pack_object_dump(obj, bodies, parse_rfc3339(view.spec.deposited))
+        manifest, payloads = unpack_change_dump(one)
+        entries += [(event, payloads[path]) for path, event in manifest.entries]
+    return pack_change_dump(entries)
+
+
+@pytest.fixture(scope="module")
+def four_objects():
+    with serve(*distinct_specs(4)) as ep:
+        yield ep, _dump_of(ep)
+
+
+class TestHarvestDump:
+    def _harvest(self, ep, dump_path, store):
+        return run(
+            [
+                "harvest",
+                "--feed",
+                ep.publisher_feed_uri,
+                "--store",
+                str(store),
+                "--dump",
+                str(dump_path),
+            ]
+        )
+
+    def test_replay_opens_the_dump_once(self, four_objects, tmp_path, monkeypatch, capsys):
+        ep, dump = four_objects
+        dump_path = tmp_path / "dump.zip"
+        dump_path.write_bytes(dump)
+        manifests = []
+        parse = resourcesync._parse_urlset
+
+        def counting(xml_text, capability, *args, **kwargs):
+            if capability == "changedump-manifest":
+                manifests.append(capability)
+            return parse(xml_text, capability, *args, **kwargs)
+
+        monkeypatch.setattr(resourcesync, "_parse_urlset", counting)
+        tasks = []
+        ingest = cli.ingest
+
+        def spying(task, *args, **kwargs):
+            tasks.append(task)
+            return ingest(task, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "ingest", spying)
+        rc = self._harvest(ep, dump_path, tmp_path / "store")
+        payload, err = _out_json(capsys)
+        assert rc == 0, err
+        records = payload["records"]
+        assert sorted(r["trigger"]["loc"] for r in records) == sorted(
+            view.entry_uri for view in ep.views
+        )
+        assert {r["mode"] for r in records} == {"dump"}
+        assert all(r["completeness"]["passed"] for r in records)
+        assert all(r["bibliography"]["matched"] is True for r in records)
+        assert manifests == ["changedump-manifest"]
+        assert len(tasks) == 4
+        assert all(isinstance(task.dump, ChangeDumpIndex) for task in tasks)
+        assert len({id(task.dump) for task in tasks}) == 1
+        with pytest.raises(ValueError, match="closed"):
+            tasks[0].dump.read("manifest.xml")
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated"])
+    def test_corrupt_dump_is_unavailable(self, four_objects, damage, tmp_path, capsys):
+        ep, dump = four_objects
+        dump_path = tmp_path / "dump.zip"
+        dump_path.write_bytes(b"this is not a zip" if damage == "garbage" else dump[: len(dump) // 2])
+        rc = self._harvest(ep, dump_path, tmp_path / "store")
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_missing_dump_is_usage_error(self, four_objects, tmp_path, capsys):
+        ep, _ = four_objects
+        rc = self._harvest(ep, tmp_path / "no-such-dump.zip", tmp_path / "store")
+        assert rc == 2
+        assert "cannot read dump" in capsys.readouterr().err
 
 
 class TestAudit:

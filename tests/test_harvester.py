@@ -33,6 +33,7 @@ from sgp.harvester import (
 from sgp.navigator import PolitenessPolicy, SignpostClient
 from sgp.resources import ResourceDescriptor, ResourceRole, ScholarlyObject
 from sgp.resourcesync import (
+    ChangeDumpIndex,
     ChangeEvent,
     ChangeKind,
     ChangeList,
@@ -401,6 +402,56 @@ class TestDumpIngest:
             uri.endswith(".xml") and reason == "missing from dump"
             for uri, reason in record.completeness.failures
         )
+
+    def test_shared_index_replays_like_bytes(self, harvested, bodies, tmp_path):
+        task, live, _ = harvested
+        trigger, dump = pack_object_dump(live.object, bodies, task.trigger.datetime)
+        from_bytes = ingest(
+            IngestTask(trigger=trigger, mode=IngestMode.DUMP, dump=dump),
+            None,
+            IngestStore(tmp_path / "bytes"),
+            POLICY,
+        )
+        with ChangeDumpIndex(io.BytesIO(dump)) as index:
+            tasks = plan_from_feed(
+                ChangeList(events=(trigger, trigger)), mode=IngestMode.DUMP, dump=index
+            )
+            from_index = [
+                ingest(t, None, IngestStore(tmp_path / "index"), POLICY) for t in tasks
+            ]
+        for record in from_index:
+            assert record.completeness == from_bytes.completeness
+            assert record.bibliography.matched == from_bytes.bibliography.matched
+            assert [(f.uri, f.sha256, f.length) for f in record.fetches] == [
+                (f.uri, f.sha256, f.length) for f in from_bytes.fetches
+            ]
+
+    def test_unreadable_member_is_a_failure(self, harvested, bodies, tmp_path):
+        task, live, _ = harvested
+        trigger, dump = pack_object_dump(live.object, bodies, task.trigger.datetime)
+        source = zipfile.ZipFile(io.BytesIO(dump))
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as out:
+            for info in source.infolist():
+                out.writestr(info.filename, source.read(info.filename))
+        manifest, _ = unpack_change_dump(dump)
+        pdf_path = next(path for path, ev in manifest.entries if ev.loc.endswith(".pdf"))
+        info = zipfile.ZipFile(buffer).getinfo(pdf_path)
+        # flip the first byte of the stored member data; its CRC no longer holds
+        offset = info.header_offset + 30 + len(info.filename) + len(info.extra)
+        damaged = bytearray(buffer.getvalue())
+        damaged[offset] ^= 0x01
+        record = ingest(
+            IngestTask(trigger=trigger, mode=IngestMode.DUMP, dump=bytes(damaged)),
+            None,
+            IngestStore(tmp_path),
+            POLICY,
+        )
+        assert not record.completeness.passed
+        assert [uri for uri, _ in record.completeness.failures] == [
+            uri for uri in live.object.publication_uris if uri.endswith(".pdf")
+        ]
+        assert sum(f.status is None for f in record.fetches) == 1
 
     def test_verify_live_confirms_an_honest_dump(
         self, harvested, bodies, client, tmp_path

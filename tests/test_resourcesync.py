@@ -1,5 +1,6 @@
 """Change list codecs, event emitters, dumps, and the notification channel."""
 
+import io
 import queue
 import random
 import zipfile
@@ -16,9 +17,20 @@ from sgp.fixity import (
     compute_fixity,
     verify_fixity,
 )
-from sgp.links import DESCRIBEDBY, ITEM, PERSISTENT_ID, TYPE, parse_link_field
+from sgp.links import (
+    DESCRIBEDBY,
+    ITEM,
+    PERSISTENT_ID,
+    TYPE,
+    LinkAttributes,
+    LinkSet,
+    RelationType,
+    TypedLink,
+    parse_link_field,
+)
 from sgp.resources import object_from_links
 from sgp.resourcesync import (
+    ChangeDumpIndex,
     ChangeDumpManifest,
     ChangeEvent,
     ChangeKind,
@@ -622,6 +634,154 @@ class TestChangeDump:
         manifest, payloads = unpack_change_dump(pack_change_dump(entries))
         for verdict in verify_dump(manifest, payloads).values():
             assert verdict.ok
+
+
+def _two_entry_dump(**kwargs):
+    t0 = datetime(2016, 1, 1, tzinfo=UTC)
+    entries = [
+        (_created("http://x.example/1", t0), b"alpha"),
+        (_created("http://x.example/2", t0 + timedelta(hours=1)), b"beta"),
+    ]
+    return pack_change_dump(entries, **kwargs)
+
+
+def _rezip(blob, change):
+    """Copy of the archive ``blob`` with each member passed through
+    ``change(name, data)``; a member for which it returns None is dropped."""
+    source = zipfile.ZipFile(io.BytesIO(blob))
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as out:
+        for info in source.infolist():
+            data = change(info.filename, source.read(info.filename))
+            if data is not None:
+                out.writestr(info.filename, data)
+    return buffer.getvalue()
+
+
+def _colliding_dump():
+    blob = _two_entry_dump(paths=["a.dat", "b.dat"])
+    return _rezip(
+        blob,
+        lambda name, data: data.replace(b'path="b.dat"', b'path="a.dat"')
+        if name == "manifest.xml"
+        else data,
+    )
+
+
+class TestChangeDumpIndex:
+    def test_lookups_without_reading_members(self, tmp_path, monkeypatch):
+        path = tmp_path / "dump.zip"
+        path.write_bytes(_two_entry_dump(paths=["a.dat", "b.dat"]))
+        reads = []
+        read = zipfile.ZipFile.read
+        monkeypatch.setattr(
+            zipfile.ZipFile, "read", lambda self, name: reads.append(name) or read(self, name)
+        )
+        with ChangeDumpIndex(path) as index:
+            assert reads == ["manifest.xml"]
+            member, event = index.entry("http://x.example/2")
+            assert member == "b.dat"
+            assert event.loc == "http://x.example/2"
+            assert index.entry("http://x.example/3") is None
+            assert reads == ["manifest.xml"]
+            assert index.read(member) == b"beta"
+        assert reads == ["manifest.xml", "b.dat"]
+
+    def test_agrees_with_unpack(self):
+        blob = _two_entry_dump()
+        manifest, payloads = unpack_change_dump(blob)
+        with ChangeDumpIndex(io.BytesIO(blob)) as index:
+            assert index.manifest == manifest
+            assert {path: index.read(path) for path in payloads} == payloads
+
+    def test_entry_media_type_from_collection_backlinks(self):
+        t0 = datetime(2016, 1, 1, tzinfo=UTC)
+        entry = "http://x.example/entry"
+
+        def member(loc, media_type):
+            backlink = TypedLink(
+                target=entry,
+                rel=RelationType("collection"),
+                attrs=LinkAttributes(media_type=media_type),
+                source=loc,
+            )
+            return _created(loc, t0, links=LinkSet((backlink,)))
+
+        blob = pack_change_dump(
+            [
+                (member("http://x.example/a", None), b"a"),
+                (member("http://x.example/b", "application/xhtml+xml"), b"b"),
+                (member("http://x.example/c", "text/html"), b"c"),
+            ]
+        )
+        with ChangeDumpIndex(io.BytesIO(blob)) as index:
+            # the first typed backlink in manifest order wins
+            assert index.entry_media_type(entry) == "application/xhtml+xml"
+            assert index.entry_media_type("http://x.example/other") is None
+
+    @pytest.mark.parametrize(
+        "make,error",
+        [
+            (lambda: b"this is not a zip", CorruptArchive),
+            (lambda: _two_entry_dump()[:-40], CorruptArchive),
+            (
+                lambda: _rezip(
+                    _two_entry_dump(), lambda name, data: None if name == "manifest.xml" else data
+                ),
+                CorruptArchive,
+            ),
+            (
+                lambda: _rezip(
+                    _two_entry_dump(paths=["a.dat", "b.dat"]),
+                    lambda name, data: None if name == "b.dat" else data,
+                ),
+                CorruptArchive,
+            ),
+            (_colliding_dump, ManifestPathCollision),
+        ],
+        ids=["bad-zip", "truncated", "no-manifest", "missing-member", "path-collision"],
+    )
+    def test_rejects_what_unpack_rejects(self, make, error, tmp_path):
+        blob = make()
+        with pytest.raises(error):
+            unpack_change_dump(blob)
+        with pytest.raises(error):
+            ChangeDumpIndex(io.BytesIO(blob))
+        path = tmp_path / "dump.zip"
+        path.write_bytes(blob)
+        with pytest.raises(error):
+            ChangeDumpIndex(path)
+
+    def test_damaged_member_is_a_corrupt_archive(self):
+        # _rezip stores members uncompressed, so the payload bytes are in plain sight
+        stored = _rezip(_two_entry_dump(paths=["a.dat", "b.dat"]), lambda name, data: data)
+        damaged = stored.replace(b"alpha", b"alphA")
+        with ChangeDumpIndex(io.BytesIO(damaged)) as index:
+            assert index.read("b.dat") == b"beta"
+            with pytest.raises(CorruptArchive):
+                index.read("a.dat")
+
+    def test_closes_what_it_opened(self, tmp_path):
+        path = tmp_path / "dump.zip"
+        path.write_bytes(_two_entry_dump(paths=["a.dat", "b.dat"]))
+        with ChangeDumpIndex(path) as index:
+            assert index.read("a.dat") == b"alpha"
+        with pytest.raises(ValueError, match="closed"):
+            index.read("a.dat")
+        handle = io.BytesIO(path.read_bytes())
+        with ChangeDumpIndex(handle) as index:
+            pass
+        assert not handle.closed
+
+    def test_closes_the_file_when_the_manifest_is_bad(self, tmp_path):
+        path = tmp_path / "dump.zip"
+        path.write_bytes(_colliding_dump())
+        with pytest.raises(ManifestPathCollision) as caught:
+            ChangeDumpIndex(path)
+        # the traceback still holds the half-built index and its archive
+        index = caught.traceback[-1].frame.f_locals["self"]
+        with pytest.raises(ValueError, match="closed"):
+            index.read("a.dat")
 
 
 class TestFixity:
