@@ -34,7 +34,7 @@ from .bibliography import (
 from .crossref import CrossRefError, InvalidDoi, MalformedJson, normalize_doi
 from .fixity import verify_fixity, compute_fixity
 from .links import MalformedLinkField
-from .navigator import HttpError, NavigationError
+from .navigator import FetchResult, HttpError, NavigationError
 from .resources import (
     DEFAULT_POLICY,
     NoEntryPage,
@@ -687,9 +687,13 @@ def _ingest_harvest(
     fetches: list[FetchSummary] = []
     failures: list[tuple[str, str]] = []
     notes: list[str] = []
+    # items come back from discovery with their bodies; only the rest is fetched
+    discovered: dict[str, FetchResult] = {}
 
     try:
-        obj = nav.discover_object(trigger.loc, policy=resource_policy)
+        obj = nav.discover_object(
+            trigger.loc, policy=resource_policy, fetched=discovered
+        )
     except (NoEntryPage, NavigationError, MalformedLinkField) as exc:
         failures.append((trigger.loc, str(exc)))
         return _base_record(
@@ -712,7 +716,7 @@ def _ingest_harvest(
 
     def fetch(uri: str, fallback_media: str | None) -> FetchSummary:
         try:
-            result = nav.fetch_resource(uri)
+            result = discovered.pop(uri, None) or nav.fetch_resource(uri)
         except HttpError as err:
             summary = FetchSummary(
                 uri=uri,

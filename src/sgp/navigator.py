@@ -185,13 +185,6 @@ class RedirectChain:
     hops: tuple[Hop, ...]
     terminal: FetchResult
 
-    def all_links(self) -> LinkSet:
-        collected = []
-        for hop in self.hops:
-            collected.extend(hop.links)
-        collected.extend(self.terminal.links)
-        return LinkSet(tuple(collected))
-
 
 class SignpostClient:
     """HEAD/GET with Link collection and redirect bookkeeping.
@@ -325,35 +318,47 @@ class SignpostClient:
         policy: ResourcePolicy = DEFAULT_RESOURCE_POLICY,
         max_collection_hops: int = 1,
         max_item_depth: int | None = None,
+        fetched: dict[str, FetchResult] | None = None,
     ) -> ScholarlyObject:
-        """Boundary closure from any member URI, over HEAD requests only.
+        """Boundary closure from any member URI.
 
-        The walk up collection links happens here so the entry page's
-        media type is known first-hand; the closure then expands item
-        links with a per-call memo, one HEAD per distinct resource.
+        The walk up collection links happens here, over HEAD, so the entry
+        page's media type is known first-hand; the closure then expands
+        item links with a per-call memo, one request per distinct resource.
+        Items are HEADed unless ``fetched`` is given: then each item is
+        fetched by GET, its links are read from that response, and every
+        successful result is recorded in ``fetched`` under the item's URI,
+        so a harvest need not download it again. The start and the entry
+        page stay HEAD either way: a landing-page entry is never
+        downloaded, so a GET there would only add bytes.
         """
         cache: dict[str, FetchResult] = {}
+        item_request = self.head_links if fetched is None else self.fetch_resource
 
-        def fetch(uri: str) -> FetchResult:
+        def fetch(uri: str, request) -> FetchResult:
             hit = cache.get(uri)
             if hit is not None:
                 return hit
-            result = self.head_links(uri)
+            result = request(uri)
             cache[result.uri] = result
             cache[result.final_uri] = result
             return result
 
-        current = fetch(start)
+        current = fetch(start, self.head_links)
         hopped = {current.final_uri}
         for _ in range(max_collection_hops):
             upward = select(current.links, "collection")
             if not upward or upward[0].target in hopped:
                 break
-            current = fetch(upward[0].target)
+            current = fetch(upward[0].target, self.head_links)
             hopped.add(current.final_uri)
 
         def oracle(uri: str) -> LinkSet:
-            return fetch(uri).links
+            # the entry is always a cache hit, so only items reach item_request
+            result = fetch(uri, item_request)
+            if fetched is not None and result.body is not None:
+                fetched[uri] = result
+            return result.links
 
         return boundary_closure(
             current.final_uri,

@@ -1,6 +1,7 @@
 """Tests for feed-driven ingest: planning, live harvest, dump replay, storage."""
 
 import dataclasses
+import hashlib
 import io
 import random
 import zipfile
@@ -265,6 +266,46 @@ class TestHarvestIngest:
         task = IngestTask(trigger=_event("http://h.example/x", ChangeKind.DELETED))
         with pytest.raises(ValueError):
             ingest(task, client, IngestStore(tmp_path), POLICY)
+
+
+class TestEachMemberDownloadedOnce:
+    def test_items_are_got_during_discovery_only(self, tmp_path):
+        with serve(plos_spec(), landing_spec()) as ep:
+            client = SignpostClient(FAST)
+            feed = parse_change_list(client.fetch_resource(ep.publisher_feed_uri).body)
+            ep.clear_log()
+            store = IngestStore(tmp_path)
+            records = [ingest(task, client, store, POLICY) for task in plan_from_feed(feed)]
+            log = ep.log()
+        assert all(r.completeness.passed for r in records)
+        heads = [e.path for e in log if e.method == "HEAD"]
+        gets = [e.path for e in log if e.method == "GET"]
+        # only the entry pages are HEADed; the PLOS one is content, so GET too
+        assert heads == ["/plosone/article", "/journal/vol1/demo"]
+        assert set(heads) & set(gets) == {"/plosone/article"}
+        assert len(gets) == len(set(gets)) == 10
+        assert len(log) == 12
+
+    def test_failed_discovery_get_is_fetched_again(self, tmp_path):
+        spec = plos_spec()
+        spec = FixtureSpec.from_json_dict(
+            {**spec.to_json_dict(), "status_scripts": [["/plosone/article.xml", [404]]]}
+        )
+        xml = next(a for a in spec.assets if a.path == "/plosone/article.xml")
+        with serve(spec) as ep:
+            store = IngestStore(tmp_path)
+            task = IngestTask(trigger=_event(ep.entry_uri))
+            record = ingest(task, SignpostClient(FAST), store, POLICY)
+            log = ep.log()
+        xml_uri = ep.uri(xml.path)
+        assert record.completeness.failures == ((xml_uri, f"HTTP 404 for {xml_uri}"),)
+        assert not record.completeness.passed
+        (fetch,) = [f for f in record.fetches if f.uri == xml_uri]
+        assert fetch.status == 200
+        assert fetch.sha256 == hashlib.sha256(xml.body()).hexdigest()
+        assert store.load_payload(fetch.sha256) == xml.body()
+        assert [e.method for e in log if e.path == xml.path] == ["GET", "GET"]
+        assert len(log) == 8
 
 
 class TestRegistrarFallback:

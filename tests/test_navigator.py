@@ -134,11 +134,6 @@ class TestRedirectChains:
         assert link.target == endpoint.works_uri
         assert link.attrs.media_type == "application/json"
 
-    def test_aggregated_links_include_hop_links(self, endpoint, client):
-        chain = client.resolve_persistent(endpoint.doi_uri)
-        targets = [l.target for l in chain.all_links().select("describedby")]
-        assert endpoint.works_uri in targets
-
     def test_non_redirecting_uri_zero_hops(self, endpoint, client):
         chain = client.resolve_persistent(endpoint.entry_uri)
         assert chain.hops == ()
@@ -188,6 +183,23 @@ class TestDiscovery:
         log = endpoint.log()
         assert {e.method for e in log} == {"HEAD"}
         assert len(log) == len({e.path for e in log}) == 4
+
+    def test_discovery_with_a_mapping_gets_items_and_keeps_them(self, endpoint, client):
+        policy = endpoint.policy()
+        by_head = client.discover_object(endpoint.entry_uri, policy=policy)
+        fetched = {}
+        endpoint.clear_log()
+        obj = client.discover_object(endpoint.entry_uri, policy=policy, fetched=fetched)
+        log = endpoint.log()
+        assert [e.path for e in log if e.method == "HEAD"] == [endpoint.spec.entry_path]
+        items = [asset.path for asset in endpoint.spec.assets]
+        assert sorted(e.path for e in log if e.method == "GET") == sorted(items)
+        assert obj == by_head
+        assert sorted(fetched) == sorted(endpoint.asset_uris())
+        for asset in endpoint.spec.assets:
+            result = fetched[endpoint.uri(asset.path)]
+            assert result.body == asset.body()
+            assert result.sha256 == hashlib.sha256(asset.body()).hexdigest()
 
     def test_plain_page_has_no_object(self, endpoint, client):
         with pytest.raises(NoEntryPage):
