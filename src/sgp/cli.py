@@ -125,7 +125,7 @@ def _derived_policy(anchor_uri: str, extra_prefixes: list[str]) -> ResourcePolic
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=1, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True))
 
 
 def _note(message: str) -> None:

@@ -389,8 +389,9 @@ class IngestStore:
     JSON records, append-only journal.
 
     Layout: ``payloads/<aa>/<sha256>``, ``records/<quoted-key>/<n>.json``,
-    ``journal.log``. Records are never overwritten; re-ingest appends the
-    next version.
+    ``journal.log``. Records are never overwritten, also by concurrent
+    writers: each version file is created exclusively, and re-ingest
+    takes the next free version.
     """
 
     def __init__(self, root: str | Path):
@@ -410,12 +411,19 @@ class IngestStore:
     def store_payload(self, data: bytes) -> str:
         digest = hashlib.sha256(data).hexdigest()
         path = self.payload_path(digest)
-        if not path.exists():
+        try:
             try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_bytes(data)
-            except OSError as exc:
-                raise StoreFailure(f"cannot store payload {digest}: {exc}") from exc
+                handle = open(path, "xb")
+            except FileNotFoundError:
+                # first payload in this shard
+                path.parent.mkdir(exist_ok=True)
+                handle = open(path, "xb")
+            with handle:
+                handle.write(data)
+        except FileExistsError:
+            pass  # content-addressed: the same bytes are already stored
+        except OSError as exc:
+            raise StoreFailure(f"cannot store payload {digest}: {exc}") from exc
         return digest
 
     def load_payload(self, digest: str) -> bytes:
@@ -441,14 +449,23 @@ class IngestStore:
     def save_record(self, record: IngestRecord) -> str:
         key = record.key
         directory = self._key_dir(key)
-        version = (self.versions(key) or [0])[-1] + 1
+        text = json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
         try:
-            directory.mkdir(parents=True, exist_ok=True)
-            path = directory / f"{version:04d}.json"
-            path.write_text(
-                json.dumps(record.to_json_dict(), indent=1, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            try:
+                directory.mkdir()
+                version = 1
+            except FileExistsError:
+                version = (self.versions(key) or [0])[-1] + 1
+            # the listing may be stale under concurrent writers: exclusive
+            # creation decides, and only a taken version moves us on
+            while True:
+                try:
+                    handle = open(directory / f"{version:04d}.json", "x", encoding="utf-8")
+                    break
+                except FileExistsError:
+                    version += 1
+            with handle:
+                handle.write(text)
             with self._journal_lock:
                 with (self.root / "journal.log").open("a", encoding="utf-8") as journal:
                     kind = "tombstone" if record.tombstone else record.mode.value

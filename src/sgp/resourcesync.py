@@ -1,4 +1,4 @@
-"""Change feeds: change lists, change dumps, and in-process notifications.
+"""Change feeds: change lists and change dumps.
 
 Sitemap-dialect XML with the rs extension namespace. Lenient parsing
 warns about sloppy-but-usable feeds (unsorted events, odd capability);
@@ -10,8 +10,6 @@ from __future__ import annotations
 import enum
 import io
 import os
-import queue
-import threading
 import warnings
 import zipfile
 import zlib
@@ -69,8 +67,6 @@ __all__ = [
     "pack_change_dump",
     "unpack_change_dump",
     "verify_dump",
-    "NotificationChannel",
-    "Subscription",
 ]
 
 SITEMAP_NS = "http://www.sitemaps.org/schemas/sitemap/0.9"
@@ -684,53 +680,3 @@ def verify_dump(
         verdicts[event.loc] = verify_fixity(payloads[path], event.fixity)
     return verdicts
 
-
-class Subscription:
-    """FIFO view of one subscriber; detach with close()."""
-
-    def __init__(self, channel: "NotificationChannel"):
-        self._queue: queue.SimpleQueue[ChangeEvent] = queue.SimpleQueue()
-        self._channel = channel
-
-    def get(self, timeout: float | None = None) -> ChangeEvent:
-        return self._queue.get(timeout=timeout)
-
-    def pending(self) -> list[ChangeEvent]:
-        items: list[ChangeEvent] = []
-        while True:
-            try:
-                items.append(self._queue.get_nowait())
-            except queue.Empty:
-                break
-        return items
-
-    def close(self) -> None:
-        self._channel._drop(self)
-
-
-class NotificationChannel:
-    """Fan-out of single change events to in-process subscribers.
-
-    Stands in for a push transport; delivery is FIFO per subscriber.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._subscribers: list[Subscription] = []
-
-    def subscribe(self) -> Subscription:
-        sub = Subscription(self)
-        with self._lock:
-            self._subscribers.append(sub)
-        return sub
-
-    def publish(self, event: ChangeEvent) -> None:
-        with self._lock:
-            targets = list(self._subscribers)
-        for sub in targets:
-            sub._queue.put(event)
-
-    def _drop(self, sub: Subscription) -> None:
-        with self._lock:
-            if sub in self._subscribers:
-                self._subscribers.remove(sub)

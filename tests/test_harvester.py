@@ -3,7 +3,11 @@
 import dataclasses
 import hashlib
 import io
+import json
+import os
 import random
+import sys
+import threading
 import zipfile
 
 import pytest
@@ -646,9 +650,23 @@ class TestStore:
     def test_payloads_deduplicate_by_digest(self, tmp_path):
         store = IngestStore(tmp_path)
         first = store.store_payload(b"same bytes")
+        path = store.payload_path(first)
+        os.utime(path, ns=(10**9, 10**9))
+        inode = path.stat().st_ino
         second = store.store_payload(b"same bytes")
         assert first == second
         assert store.load_payload(first) == b"same bytes"
+        assert [p for p in (tmp_path / "payloads").rglob("*") if p.is_file()] == [path]
+        assert path.stat().st_ino == inode
+        assert path.stat().st_mtime_ns == 10**9
+
+    def test_first_payload_creates_its_shard(self, tmp_path):
+        store = IngestStore(tmp_path)
+        digest = hashlib.sha256(b"fresh").hexdigest()
+        shard = tmp_path / "payloads" / digest[:2]
+        assert not shard.exists()
+        assert store.store_payload(b"fresh") == digest
+        assert (shard / digest).read_bytes() == b"fresh"
 
     def test_unknown_payload_and_record_raise(self, tmp_path):
         store = IngestStore(tmp_path)
@@ -673,6 +691,66 @@ class TestStore:
         assert store.versions(first.key) == [1, 2]
         assert store.load_record(first.key).filter_tag == "journals"
         assert store.load_record(first.key, version=1).filter_tag is None
+
+    def test_record_files_are_one_line_of_sorted_json(self, tmp_path):
+        store = IngestStore(tmp_path)
+        record = _synthetic_record()
+        store.save_record(record)
+        text = (store._key_dir(record.key) / "0001.json").read_text(encoding="utf-8")
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        assert store.load_record(record.key) == record
+
+    def test_concurrent_writers_never_overwrite(self, tmp_path):
+        store = IngestStore(tmp_path)
+        record = _synthetic_record()
+        errors = []
+
+        def write():
+            try:
+                for _ in range(50):
+                    store.save_record(record)
+            except StoreFailure as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.versions(record.key) == list(range(1, 401))
+        journaled = [v for _, key, v, _ in store.journal_entries() if key == record.key]
+        assert len(journaled) == 400
+        assert sorted(journaled) == list(range(1, 401))
+
+    def test_stale_listing_never_overwrites(self, tmp_path, monkeypatch):
+        store = IngestStore(tmp_path)
+        record = _synthetic_record()
+        store.save_record(record)
+        store.save_record(dataclasses.replace(record, filter_tag="journals"))
+        second = store._key_dir(record.key) / "0002.json"
+        kept = second.read_bytes()
+        monkeypatch.setattr(IngestStore, "versions", lambda self, key: [1])
+        store.save_record(dataclasses.replace(record, filter_tag="books"))
+        monkeypatch.undo()
+        assert store.versions(record.key) == [1, 2, 3]
+        assert second.read_bytes() == kept
+        assert store.load_record(record.key, version=3).filter_tag == "books"
+        assert store.journal_entries()[-1][2] == 3
+
+    def test_record_write_error_ends_in_store_failure(self, tmp_path):
+        store = IngestStore(tmp_path)
+        record = _synthetic_record()
+        store._key_dir(record.key).write_text("not a directory")
+        with pytest.raises(StoreFailure):
+            store.save_record(record)
 
     def test_keys_decode_quoted_directories(self, tmp_path):
         store = IngestStore(tmp_path)

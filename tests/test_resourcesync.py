@@ -1,7 +1,6 @@
-"""Change list codecs, event emitters, dumps, and the notification channel."""
+"""Change list codecs, event emitters and dumps."""
 
 import io
-import queue
 import random
 import zipfile
 from datetime import datetime, timedelta, timezone
@@ -42,7 +41,6 @@ from sgp.resourcesync import (
     ManifestPathCollision,
     MissingChangeAttribute,
     MissingPayload,
-    NotificationChannel,
     UnknownChangeKind,
     emit_change_list,
     emit_publisher_event,
@@ -819,37 +817,3 @@ class TestFixity:
         for algorithm in ("md5", "sha-256"):
             assert verify_fixity(payload, compute_fixity(payload, algorithm)).ok
 
-
-class TestNotificationChannel:
-    def test_fifo_per_subscriber(self):
-        channel = NotificationChannel()
-        sub = channel.subscribe()
-        t0 = datetime(2016, 1, 1, tzinfo=UTC)
-        events = [
-            _created(f"http://x.example/{i}", t0 + timedelta(minutes=i)) for i in range(3)
-        ]
-        for event in events:
-            channel.publish(event)
-        assert sub.pending() == events
-
-    def test_fan_out(self):
-        channel = NotificationChannel()
-        first = channel.subscribe()
-        second = channel.subscribe()
-        event = _created("http://x.example/1", datetime(2016, 1, 1, tzinfo=UTC))
-        channel.publish(event)
-        assert first.get(timeout=1) == event
-        assert second.get(timeout=1) == event
-
-    def test_closed_subscription_stops_receiving(self):
-        channel = NotificationChannel()
-        sub = channel.subscribe()
-        sub.close()
-        channel.publish(_created("http://x.example/1", datetime(2016, 1, 1, tzinfo=UTC)))
-        assert sub.pending() == []
-
-    def test_get_timeout(self):
-        channel = NotificationChannel()
-        sub = channel.subscribe()
-        with pytest.raises(queue.Empty):
-            sub.get(timeout=0.01)
