@@ -1,9 +1,9 @@
 """Client and data model for the CrossRef works API.
 
-Read-only: recent-deposit listing, per-DOI metadata, and classification
-of deposit entries as new registrations vs updates vs likely journal
-transfers. Tests run against a local fixture registrar; the live
-service is never contacted from the test suite.
+Read-only: per-DOI metadata, parsing of deposit listings, and
+classification of deposit entries as new registrations vs updates vs
+likely journal transfers. Tests run against a local fixture registrar;
+the live service is never contacted from the test suite.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import re
 import time
-import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -40,7 +39,6 @@ __all__ = [
     "NotAWork",
     "MissingDoi",
     "InvalidDoi",
-    "OrderingWarning",
     "RetryPolicy",
     "CrossRefClient",
     "normalize_doi",
@@ -89,10 +87,6 @@ class ServiceError(CrossRefError):
 
 class RateLimited(ServiceError):
     pass
-
-
-class OrderingWarning(UserWarning):
-    """A listing violated its advertised sort order."""
 
 
 _DOI_PREFIXES = ("doi:", "info:doi/")
@@ -483,20 +477,3 @@ class CrossRefClient:
     def fetch_work(self, doi: str) -> CrossRefWork:
         url = metadata_uri_for(normalize_doi(doi), api_base=self.api_base)
         return parse_work(self._get(url).text)
-
-    def list_recent(self, rows: int = 20, offset: int = 0) -> WorkList:
-        if rows < 1:
-            raise ValueError("rows must be >= 1")
-        url = (
-            f"{self.api_base}/works?sort=deposited&order=desc"
-            f"&rows={rows}&offset={offset}"
-        )
-        work_list = parse_work_list(self._get(url).text)
-        stamps = [w.deposited for w in work_list.items if w.deposited is not None]
-        if any(a < b for a, b in zip(stamps, stamps[1:])):
-            warnings.warn(
-                "listing is not in descending deposited order",
-                OrderingWarning,
-                stacklevel=2,
-            )
-        return work_list

@@ -1,14 +1,17 @@
 """Ingest pipeline: feeds in, verified records out.
 
-Change feeds become ingest tasks; each task collects an object's
-boundary (live over HTTP, or reconstructed from a Change Dump), fetches
-every publication resource, answers the three ingest questions
-(manifest, completeness, bibliography), applies substance thresholds,
-and persists a versioned record with content-addressed payloads.
+Change feeds become ingest tasks. One pipeline runs every task over a
+byte source: ``_LiveSource`` discovers the object's boundary and fetches
+its members over HTTP, ``_DumpSource`` reconstructs both from a Change
+Dump. Either way the pipeline fetches every publication resource,
+answers the three ingest questions (manifest, completeness,
+bibliography), applies substance thresholds, and persists a versioned
+record with content-addressed payloads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
 import io
@@ -17,7 +20,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 from urllib.parse import quote, unquote, urlsplit
 
 from .bibliography import (
@@ -32,7 +35,7 @@ from .bibliography import (
     reconcile,
 )
 from .crossref import CrossRefError, InvalidDoi, MalformedJson, normalize_doi
-from .fixity import verify_fixity, compute_fixity
+from .fixity import FixityInfo, compute_fixity, verify_fixity
 from .links import MalformedLinkField
 from .navigator import FetchResult, HttpError, NavigationError
 from .resources import (
@@ -646,22 +649,125 @@ def ingest(
 ) -> IngestRecord:
     """Run one task end to end and persist the outcome.
 
-    Per-resource trouble is recorded in the returned record, not raised;
-    only store trouble (and misuse, like passing a tombstone) raises.
+    A harvest task reads its bytes over HTTP through ``nav``; a dump task
+    reads them from ``task.dump`` and makes no registrar lookup, so a
+    replay stays offline unless ``verify_live`` asks ``nav`` to check
+    the dump's boundary against the live one. Per-resource trouble is
+    recorded in the returned record, not raised; only store trouble (and
+    misuse, like passing a tombstone) raises.
     """
     if task.tombstone:
         raise ValueError("tombstone tasks are recorded, not ingested")
-    if task.mode is IngestMode.DUMP:
-        record = _ingest_dump(
-            task, store, policy, nav=nav, resource_policy=resource_policy,
-            verify_live=verify_live,
-        )
+    if task.mode is IngestMode.HARVEST:
+        source = _LiveSource(nav, task.trigger)
+        record = _ingest(task, source, store, policy, registrar, resource_policy)
     else:
-        record = _ingest_harvest(
-            task, nav, store, policy, registrar, resource_policy=resource_policy
+        if task.dump is None:
+            raise ValueError("dump-mode task without dump bytes")
+        opened = (
+            contextlib.nullcontext(task.dump)
+            if isinstance(task.dump, ChangeDumpIndex)
+            else ChangeDumpIndex(io.BytesIO(task.dump))
         )
+        with opened as index:
+            source = _DumpSource(index, task.trigger, nav if verify_live else None)
+            record = _ingest(task, source, store, policy, None, resource_policy)
     store.save_record(record)
     return record
+
+
+class _Got(NamedTuple):
+    """What a source gives for one URI: the body, or why there is none.
+
+    ``fixity`` is what the source knows the body should hash to.
+    """
+
+    status: int | None
+    body: bytes | None = None
+    reason: str | None = None
+    media_type: str | None = None
+    fetched_at: datetime | None = None
+    fixity: FixityInfo | None = None
+
+
+class _LiveSource:
+    """Bytes over HTTP. Discovery GETs each item and hands its body on,
+    so every member is downloaded once."""
+
+    def __init__(self, nav, trigger: ChangeEvent):
+        self._nav = nav
+        self._trigger = trigger
+        self._discovered: dict[str, FetchResult] = {}
+
+    def boundary(self, policy: ResourcePolicy) -> ScholarlyObject:
+        return self._nav.discover_object(
+            self._trigger.loc, policy=policy, fetched=self._discovered
+        )
+
+    def get(self, uri: str) -> _Got:
+        try:
+            result = self._discovered.pop(uri, None) or self._nav.fetch_resource(uri)
+        except HttpError as err:
+            return _Got(
+                err.result.status,
+                reason=f"HTTP {err.result.status}",
+                media_type=err.result.media_type,
+                fetched_at=err.result.fetched_at,
+            )
+        except NavigationError as err:
+            return _Got(None, reason=str(err))
+        fixity = self._trigger.fixity if uri == self._trigger.loc else None
+        return _Got(
+            result.status,
+            result.body,
+            media_type=result.media_type,
+            fetched_at=result.fetched_at,
+            fixity=fixity,
+        )
+
+
+class _DumpSource:
+    """Bytes from a Change Dump: the boundary comes from the event's
+    links, each member's fixity from its manifest entry. With ``verify``
+    (a navigator), the boundary is also checked against the live one."""
+
+    def __init__(self, index: ChangeDumpIndex, trigger: ChangeEvent, verify):
+        self._index = index
+        self._trigger = trigger
+        self._verify = verify
+        self._stamp = utcnow()
+
+    def boundary(self, policy: ResourcePolicy) -> ScholarlyObject:
+        loc = self._trigger.loc
+        links = self._trigger.links
+        own = self._index.entry(loc)
+        if not links and own is not None:
+            links = own[1].links
+        obj = object_from_links(
+            loc, links, policy=policy, entry_media_type=self._index.entry_media_type(loc)
+        )
+        if self._verify is None:
+            return obj
+        try:
+            live = self._verify.discover_object(loc, policy=policy)
+        except (NoEntryPage, NavigationError, MalformedLinkField) as exc:
+            failure = (loc, f"live verification failed: {exc}")
+        else:
+            if set(live.publication_uris) == set(obj.publication_uris):
+                return obj
+            failure = (loc, "live boundary differs from dump manifest")
+        return replace(obj, failures=obj.failures + (failure,))
+
+    def get(self, uri: str) -> _Got:
+        found = self._index.entry(uri)
+        if found is None or found[0] is None:
+            return _Got(None, reason="missing from dump")
+        path, event = found
+        try:
+            body = self._index.read(path)
+        except CorruptArchive as exc:
+            return _Got(None, reason=f"unreadable in dump: {exc}")
+        return _Got(200, body, fetched_at=self._stamp, fixity=event.fixity)
 
 
 def _bibliography_verdict(
@@ -691,26 +797,21 @@ def _bibliography_verdict(
     return BibliographyReport(matched=None, notes=tuple(notes))
 
 
-def _ingest_harvest(
+def _ingest(
     task: IngestTask,
-    nav,
+    source: _LiveSource | _DumpSource,
     store: IngestStore,
     policy: SubstancePolicy | None,
     registrar,
-    *,
     resource_policy: ResourcePolicy,
 ) -> IngestRecord:
     trigger = task.trigger
     fetches: list[FetchSummary] = []
     failures: list[tuple[str, str]] = []
     notes: list[str] = []
-    # items come back from discovery with their bodies; only the rest is fetched
-    discovered: dict[str, FetchResult] = {}
 
     try:
-        obj = nav.discover_object(
-            trigger.loc, policy=resource_policy, fetched=discovered
-        )
+        obj = source.boundary(resource_policy)
     except (NoEntryPage, NavigationError, MalformedLinkField) as exc:
         failures.append((trigger.loc, str(exc)))
         return _base_record(
@@ -732,40 +833,34 @@ def _ingest_harvest(
     bodies: dict[str, bytes] = {}
 
     def fetch(uri: str, fallback_media: str | None) -> FetchSummary:
-        try:
-            result = discovered.pop(uri, None) or nav.fetch_resource(uri)
-        except HttpError as err:
+        got = source.get(uri)
+        if got.body is None:
+            failures.append((uri, got.reason))
             summary = FetchSummary(
                 uri=uri,
-                status=err.result.status,
-                media_type=err.result.media_type,
-                fetched_at=err.result.fetched_at,
+                status=got.status,
+                media_type=got.media_type,
+                fetched_at=got.fetched_at,
             )
-            failures.append((uri, f"HTTP {err.result.status}"))
-        except NavigationError as err:
-            summary = FetchSummary(uri=uri, status=None)
-            failures.append((uri, str(err)))
         else:
-            store.store_payload(result.body)
-            bodies[uri] = result.body
+            if got.fixity is not None:
+                verdict = verify_fixity(got.body, got.fixity)
+                if not verdict:
+                    failures.append((uri, f"fixity: {verdict.reason}"))
+            bodies[uri] = got.body
             summary = FetchSummary(
                 uri=uri,
-                status=result.status,
-                sha256=result.sha256,
-                length=len(result.body),
-                media_type=result.media_type or fallback_media,
-                fetched_at=result.fetched_at,
+                status=got.status,
+                sha256=store.store_payload(got.body),
+                length=len(got.body),
+                media_type=got.media_type or fallback_media,
+                fetched_at=got.fetched_at,
             )
         fetches.append(summary)
         return summary
 
     for desc in obj.publication_resources:
         fetch(desc.uri, desc.media_type)
-
-    if trigger.fixity is not None and trigger.loc in bodies:
-        verdict = verify_fixity(bodies[trigger.loc], trigger.fixity)
-        if not verdict:
-            failures.append((trigger.loc, f"fixity: {verdict.reason}"))
 
     registrar_record: BibRecord | None = None
     works_target = _registrar_target(obj)
@@ -812,130 +907,6 @@ def _ingest_harvest(
             break
         except MalformedEntry as exc:
             notes.append(f"publisher metadata unreadable at {bib.uri}: {exc}")
-
-    return _base_record(
-        task,
-        obj,
-        fetches,
-        _completeness(obj, fetches, failures, resource_policy),
-        _bibliography_verdict(registrar_record, publisher_record, notes),
-        _substance(tuple(fetches), task.filter_tag, policy),
-    )
-
-
-def _ingest_dump(
-    task: IngestTask,
-    store: IngestStore,
-    policy: SubstancePolicy | None,
-    *,
-    nav=None,
-    resource_policy: ResourcePolicy,
-    verify_live: bool = False,
-) -> IngestRecord:
-    if task.dump is None:
-        raise ValueError("dump-mode task without dump bytes")
-    if not isinstance(task.dump, ChangeDumpIndex):
-        with ChangeDumpIndex(io.BytesIO(task.dump)) as index:
-            return _ingest_dump(
-                replace(task, dump=index), store, policy, nav=nav,
-                resource_policy=resource_policy, verify_live=verify_live,
-            )
-    index = task.dump
-    trigger = task.trigger
-
-    links = trigger.links
-    own = index.entry(trigger.loc)
-    if not links and own is not None:
-        links = own[1].links
-    obj = object_from_links(
-        trigger.loc,
-        links,
-        policy=resource_policy,
-        entry_media_type=index.entry_media_type(trigger.loc),
-    )
-
-    fetches: list[FetchSummary] = []
-    failures: list[tuple[str, str]] = []
-    notes: list[str] = []
-    stamp = utcnow()
-
-    def take(uri: str, media: str | None) -> bytes | None:
-        found = index.entry(uri)
-        if found is None or found[0] is None:
-            failures.append((uri, "missing from dump"))
-            fetches.append(FetchSummary(uri=uri, status=None))
-            return None
-        path, event = found
-        try:
-            payload = index.read(path)
-        except CorruptArchive as exc:
-            failures.append((uri, f"unreadable in dump: {exc}"))
-            fetches.append(FetchSummary(uri=uri, status=None))
-            return None
-        if event.fixity is not None:
-            verdict = verify_fixity(payload, event.fixity)
-            if not verdict:
-                failures.append((uri, f"fixity: {verdict.reason}"))
-        fetches.append(
-            FetchSummary(
-                uri=uri,
-                status=200,
-                sha256=store.store_payload(payload),
-                length=len(payload),
-                media_type=media,
-                fetched_at=stamp,
-            )
-        )
-        return payload
-
-    entry_media = obj.entry_page.media_type
-    for desc in obj.publication_resources:
-        media = desc.media_type or (entry_media if desc.uri == obj.entry_page.uri else None)
-        take(desc.uri, media)
-
-    registrar_record: BibRecord | None = None
-    works_target = _registrar_target(obj)
-    if works_target is not None and index.entry(works_target) is not None:
-        payload = take(works_target, "application/json")
-        if payload is not None:
-            try:
-                registrar_record = parse_crossref_json(payload, source_uri=works_target)
-            except (MalformedJson, MalformedEntry, ValueError) as exc:
-                notes.append(f"registrar metadata unreadable: {exc}")
-    else:
-        notes.append("registrar metadata not in dump")
-
-    publisher_record: BibRecord | None = None
-    for bib in obj.bibliographic_resources:
-        if bib.uri == works_target or bib.profile == CROSSREF_JSON_PROFILE:
-            continue
-        if index.entry(bib.uri) is None:
-            continue
-        try:
-            parser = parser_for(bib.profile, bib.media_type)
-        except UnknownFormat:
-            notes.append(f"no parser for {bib.uri}")
-            continue
-        payload = take(bib.uri, bib.media_type)
-        if payload is None:
-            continue
-        try:
-            publisher_record = parser(
-                payload.decode("utf-8", "replace"), source_uri=bib.uri
-            )
-            break
-        except MalformedEntry as exc:
-            notes.append(f"publisher metadata unreadable at {bib.uri}: {exc}")
-
-    if verify_live and nav is not None:
-        try:
-            live = nav.discover_object(trigger.loc, policy=resource_policy)
-            if set(live.publication_uris) != set(obj.publication_uris):
-                failures.append(
-                    (trigger.loc, "live boundary differs from dump manifest")
-                )
-        except (NoEntryPage, NavigationError) as exc:
-            failures.append((trigger.loc, f"live verification failed: {exc}"))
 
     return _base_record(
         task,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import io
 import os
+import re
 import warnings
 import zipfile
 import zlib
@@ -74,6 +75,9 @@ RS_NS = "http://www.openarchives.org/rs/terms/"
 
 ET.register_namespace("", SITEMAP_NS)
 ET.register_namespace("rs", RS_NS)
+
+# a loc becomes a record key and a tab-separated journal field
+_LOC_FORBIDDEN = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
 
 
 class ChangeListError(ValueError):
@@ -204,6 +208,8 @@ def _event_from_url(
     if not loc_elems or not (loc_elems[0].text or "").strip():
         raise MalformedXml("url element without loc")
     loc = loc_elems[0].text.strip()
+    if _LOC_FORBIDDEN.search(loc):
+        raise MalformedXml(f"loc holds whitespace or a control character: {loc!r}")
 
     md_elems = _children(url, "md")
     if not md_elems:

@@ -150,6 +150,20 @@ class TestHarvest:
         assert (store / "journal.log").exists()
         assert any((store / "payloads").iterdir())
 
+    def test_feed_loc_with_a_tab_is_unavailable(self, tmp_path, capsys):
+        spec = FixtureSpec.from_json_dict(
+            {**plos_spec().to_json_dict(), "entry_path": "/plosone/art\ticle"}
+        )
+        with serve(spec) as ep:
+            rc = run(
+                ["harvest", "--feed", ep.publisher_feed_uri, "--store", str(tmp_path / "store")]
+            )
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert not (tmp_path / "store" / "journal.log").exists()
+
     def test_failed_member_fetch_exits_one(self, tmp_path, capsys):
         spec = plos_spec()
         spec = FixtureSpec.from_json_dict(

@@ -1,7 +1,6 @@
 """Works-API parsing, DOI handling, deposit classification, client retry."""
 
 import json
-import warnings
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -17,7 +16,6 @@ from sgp.crossref import (
     MissingDoi,
     NotAWork,
     NotFound,
-    OrderingWarning,
     RetryPolicy,
     ServiceError,
     classify_deposit,
@@ -330,16 +328,6 @@ def _work_body():
     )
 
 
-def _list_body(*deposited):
-    items = [
-        {"DOI": f"10.5/x{i}", "deposited": {"date-time": stamp}}
-        for i, stamp in enumerate(deposited)
-    ]
-    return json.dumps(
-        {"message-type": "work-list", "status": "ok", "message": {"items": items}}
-    )
-
-
 class TestClient:
     def test_fetch_work_uses_metadata_uri(self):
         session = StubSession([StubResponse(200, _work_body())])
@@ -386,32 +374,3 @@ class TestClient:
         assert policy.delay(0, "3") == 3.0
         assert policy.delay(1, None) == 0.5
         assert policy.delay(0, "soon") == 0.25
-
-    def test_list_recent_requires_rows(self):
-        client = CrossRefClient(session=StubSession([]), retry=FAST_RETRY)
-        with pytest.raises(ValueError):
-            client.list_recent(rows=0)
-
-    def test_list_recent_query(self):
-        session = StubSession([StubResponse(200, _list_body())])
-        client = CrossRefClient(session=session, retry=FAST_RETRY)
-        client.list_recent(rows=5, offset=10)
-        assert session.calls == [
-            "http://api.crossref.org/works?sort=deposited&order=desc&rows=5&offset=10"
-        ]
-
-    def test_list_recent_warns_on_misordered_feed(self):
-        body = _list_body("2016-03-17T19:58:50Z", "2016-03-17T19:59:58Z")
-        session = StubSession([StubResponse(200, body)])
-        client = CrossRefClient(session=session, retry=FAST_RETRY)
-        with pytest.warns(OrderingWarning):
-            client.list_recent(rows=2)
-
-    def test_list_recent_quiet_when_ordered(self):
-        body = _list_body("2016-03-17T19:59:58Z", "2016-03-17T19:58:50Z")
-        session = StubSession([StubResponse(200, body)])
-        client = CrossRefClient(session=session, retry=FAST_RETRY)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            listing = client.list_recent(rows=2)
-        assert len(listing.items) == 2

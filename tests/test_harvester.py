@@ -557,6 +557,88 @@ class TestDumpIngest:
             pack_object_dump(live.object, partial, utcnow())
 
 
+    def test_bib_missing_from_dump_is_reported_as_a_live_404_would_be(
+        self, harvested, bodies, tmp_path
+    ):
+        task, live, _ = harvested
+        bib_uri = next(
+            b.uri for b in live.object.bibliographic_resources if b.uri.endswith(".bib")
+        )
+        kept = {uri: body for uri, body in bodies.items() if uri != bib_uri}
+        trigger, dump = pack_object_dump(live.object, kept, task.trigger.datetime)
+        record = ingest(
+            IngestTask(trigger=trigger, mode=IngestMode.DUMP, dump=dump),
+            None,
+            IngestStore(tmp_path),
+            POLICY,
+        )
+        assert record.completeness.passed
+        assert record.completeness.failures == ((bib_uri, "missing from dump"),)
+        assert record.bibliography.matched is True
+        assert f"publisher metadata fetch failed: {bib_uri}" in record.bibliography.notes
+
+    def test_works_missing_from_dump_is_reported_as_a_live_404_would_be(
+        self, harvested, bodies, tmp_path
+    ):
+        task, live, _ = harvested
+        works_uri = next(uri for uri in bodies if "/works/" in uri)
+        kept = {uri: body for uri, body in bodies.items() if uri != works_uri}
+        trigger, dump = pack_object_dump(live.object, kept, task.trigger.datetime)
+        record = ingest(
+            IngestTask(trigger=trigger, mode=IngestMode.DUMP, dump=dump),
+            None,
+            IngestStore(tmp_path),
+            POLICY,
+        )
+        assert record.completeness.passed
+        assert record.completeness.failures == ((works_uri, "missing from dump"),)
+        assert record.bibliography.matched is None
+        assert f"registrar metadata fetch failed: {works_uri}" in record.bibliography.notes
+
+
+def _comparable(record):
+    """A record's JSON without what legitimately differs between a live
+    harvest and a replay: the mode, the clock, and the per-member links,
+    since a dump carries only the event links."""
+    data = record.to_json_dict()
+    del data["mode"], data["created_at"]
+    for fetch in data["fetches"]:
+        fetch.pop("fetched_at", None)
+    obj = data["object"]
+    members = [obj["entry_page"], *obj["publication_resources"], *obj["bibliographic_resources"]]
+    for member in members:
+        member.pop("links", None)
+    return data
+
+
+class TestLiveDumpParity:
+    @pytest.mark.parametrize("pattern", [plos_spec, landing_spec])
+    @pytest.mark.parametrize("ablation", [None, "no-entry-describedby"])
+    def test_replay_of_a_harvest_gives_the_same_record(self, pattern, ablation, tmp_path):
+        spec = pattern() if ablation is None else degrade(pattern(), ablation)
+        with serve(spec) as ep:
+            store = IngestStore(tmp_path / "live")
+            live = ingest(
+                IngestTask(trigger=_event(ep.entry_uri)),
+                SignpostClient(FAST),
+                store,
+                POLICY,
+                resource_policy=ep.policy(),
+            )
+            policy = ep.policy()
+        bodies = {f.uri: store.load_payload(f.sha256) for f in live.fetches if f.sha256}
+        trigger, dump = pack_object_dump(live.object, bodies, live.trigger_datetime)
+        replayed = ingest(
+            IngestTask(trigger=trigger, mode=IngestMode.DUMP, dump=dump),
+            None,
+            IngestStore(tmp_path / "dump"),
+            POLICY,
+            resource_policy=policy,
+        )
+        assert live.completeness.passed
+        assert _comparable(replayed) == _comparable(live)
+
+
 class TestTombstone:
     def test_marks_record_and_keeps_payloads(self, tmp_path):
         store = IngestStore(tmp_path)

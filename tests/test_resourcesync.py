@@ -200,6 +200,14 @@ class TestParseEdgeCases:
         with pytest.raises(MalformedXml):
             parse_change_list(doc)
 
+    @pytest.mark.parametrize("bad", ["\t", "&#10;", "&#13;"])
+    def test_loc_with_whitespace_or_control_character(self, bad):
+        doc = urlset(
+            url(f"http://x.example/a{bad}b", 'change="created" datetime="2016-01-01T00:00:00Z"')
+        )
+        with pytest.raises(MalformedXml, match="whitespace or a control character"):
+            parse_change_list(doc)
+
     def test_fixity_attributes(self):
         doc = urlset(
             url(
