@@ -339,7 +339,7 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
         mode = IngestMode.DUMP if dump is not None else IngestMode.HARVEST
         tasks = plan_from_feed(feed, mode=mode, filter_tag=args.filter_tag, dump=dump)
         store = IngestStore(store_dir)
-        registrar = CrossRefClient(api_base=api_base, throttle=client.throttle)
+        registrar = CrossRefClient(client, api_base)
         records = []
         for task in tasks:
             if task.tombstone:
@@ -360,7 +360,7 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
         {
             "schema_version": 1,
             "store": store_dir,
-            "records": [record.to_json_dict() for record in records],
+            "records": [record.json_dict for record in records],
         }
     )
     bad = [
@@ -475,8 +475,9 @@ def _cmd_fixture_serve(args: argparse.Namespace) -> int:
     if not specs:
         raise _Usage(f"{args.spec} describes no objects")
     endpoint = serve(*specs, port=args.port)
-    print(endpoint.base_uri, flush=True)
     try:
+        # a SIGINT sent as soon as this line is read must still exit cleanly
+        print(endpoint.base_uri, flush=True)
         while True:
             time.sleep(0.25)
     except KeyboardInterrupt:

@@ -2,23 +2,23 @@
 
 Read-only: per-DOI metadata, parsing of deposit listings, and
 classification of deposit entries as new registrations vs updates vs
-likely journal transfers. Tests run against a local fixture registrar;
-the live service is never contacted from the test suite.
+likely journal transfers. The client has no transport of its own: its
+requests ride the navigator, under the same politeness, retries and
+throttle as every other request. Tests run against a local fixture
+registrar; the live service is never contacted from the test suite.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import Any, Mapping
-from urllib.parse import quote, urlsplit
+from urllib.parse import quote
 
-import requests
-
+from .navigator import HttpError, NavigationError
 from .rfc3339 import parse_rfc3339
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "NotAWork",
     "MissingDoi",
     "InvalidDoi",
-    "RetryPolicy",
     "CrossRefClient",
     "normalize_doi",
     "metadata_uri_for",
@@ -391,89 +390,32 @@ def classify_deposit(
     )
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    max_retries: int = 2
-    backoff: float = 0.05
-    retry_statuses: frozenset[int] = frozenset({429, 500, 502, 503, 504})
-
-    def delay(self, attempt: int, retry_after: str | None) -> float:
-        if retry_after:
-            try:
-                return max(0.0, float(retry_after))
-            except ValueError:
-                pass
-        return self.backoff * (2**attempt)
-
-
 class CrossRefClient:
-    """Thin works-API client with retry/backoff and optional per-host
-    throttling (pass the navigator's throttle to share one budget)."""
+    """Works-API lookups over the navigator.
 
-    def __init__(
-        self,
-        api_base: str = DEFAULT_API_BASE,
-        *,
-        session: requests.Session | None = None,
-        retry: RetryPolicy = RetryPolicy(),
-        throttle=None,
-        timeout: float = 10.0,
-        user_agent: str = "sgp-crossref",
-    ):
+    Every request goes through ``nav.fetch_resource``, so the works API
+    shares the navigator's retry policy, User-Agent, redirect walk and
+    per-host throttle with the rest of a harvest. Transport failures
+    come back as this module's errors: 404 as ``NotFound``, 429 as
+    ``RateLimited``, any other status or lost connection as
+    ``ServiceError``.
+    """
+
+    def __init__(self, nav, api_base: str = DEFAULT_API_BASE):
+        self.nav = nav
         self.api_base = api_base.rstrip("/")
-        self._session = session or requests.Session()
-        self._retry = retry
-        self._throttle = throttle
-        self._timeout = timeout
-        self._headers = {"User-Agent": user_agent}
-
-    def close(self) -> None:
-        self._session.close()
-
-    def __enter__(self) -> "CrossRefClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _get(self, url: str) -> requests.Response:
-        attempt = 0
-        while True:
-            try:
-                if self._throttle is not None:
-                    with self._throttle.acquire(urlsplit(url).netloc):
-                        response = self._session.get(
-                            url, timeout=self._timeout, headers=self._headers
-                        )
-                else:
-                    response = self._session.get(
-                        url, timeout=self._timeout, headers=self._headers
-                    )
-            except requests.RequestException as exc:
-                if attempt < self._retry.max_retries:
-                    time.sleep(self._retry.delay(attempt, None))
-                    attempt += 1
-                    continue
-                raise ServiceError(str(exc)) from exc
-            if response.status_code == 200:
-                return response
-            if response.status_code == 404:
-                raise NotFound(f"404 for {url}", status=404)
-            if (
-                response.status_code in self._retry.retry_statuses
-                and attempt < self._retry.max_retries
-            ):
-                time.sleep(
-                    self._retry.delay(attempt, response.headers.get("Retry-After"))
-                )
-                attempt += 1
-                continue
-            if response.status_code == 429:
-                raise RateLimited(f"429 for {url}", status=429)
-            raise ServiceError(
-                f"{response.status_code} for {url}", status=response.status_code
-            )
 
     def fetch_work(self, doi: str) -> CrossRefWork:
         url = metadata_uri_for(normalize_doi(doi), api_base=self.api_base)
-        return parse_work(self._get(url).text)
+        try:
+            result = self.nav.fetch_resource(url)
+        except HttpError as exc:
+            status = exc.result.status
+            if status == 404:
+                raise NotFound(f"404 for {url}", status=404) from exc
+            if status == 429:
+                raise RateLimited(f"429 for {url}", status=429) from exc
+            raise ServiceError(f"{status} for {url}", status=status) from exc
+        except NavigationError as exc:
+            raise ServiceError(str(exc)) from exc
+        return parse_work(result.body or b"")

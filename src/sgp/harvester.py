@@ -19,6 +19,7 @@ import json
 import threading
 from dataclasses import dataclass, field, replace
 from datetime import datetime
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 from urllib.parse import quote, unquote, urlsplit
@@ -35,7 +36,13 @@ from .bibliography import (
     reconcile,
 )
 from .crossref import CrossRefError, InvalidDoi, MalformedJson, normalize_doi
-from .fixity import FixityInfo, compute_fixity, verify_fixity
+from .fixity import (
+    FixityInfo,
+    FixityVerdict,
+    UnsupportedAlgorithm,
+    compute_fixity,
+    verify_fixity,
+)
 from .links import MalformedLinkField
 from .navigator import FetchResult, HttpError, NavigationError
 from .resources import (
@@ -345,6 +352,12 @@ class IngestRecord:
     def key(self) -> str:
         return self.object.identifying_uri or self.object.entry_page.uri
 
+    @cached_property
+    def json_dict(self) -> dict:
+        """``to_json_dict()`` built once, for the store and the CLI to
+        share; read it, never change it."""
+        return self.to_json_dict()
+
     def to_json_dict(self) -> dict:
         return {
             "schema_version": self.schema_version,
@@ -452,7 +465,7 @@ class IngestStore:
     def save_record(self, record: IngestRecord) -> str:
         key = record.key
         directory = self._key_dir(key)
-        text = json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
+        text = json.dumps(record.json_dict, sort_keys=True) + "\n"
         try:
             try:
                 directory.mkdir()
@@ -844,7 +857,10 @@ def _ingest(
             )
         else:
             if got.fixity is not None:
-                verdict = verify_fixity(got.body, got.fixity)
+                try:
+                    verdict = verify_fixity(got.body, got.fixity)
+                except UnsupportedAlgorithm as exc:
+                    verdict = FixityVerdict(False, f"unsupported algorithm {exc}")
                 if not verdict:
                     failures.append((uri, f"fixity: {verdict.reason}"))
             bodies[uri] = got.body

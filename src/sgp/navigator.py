@@ -2,8 +2,9 @@
 
 Issues HEAD/GET requests, follows redirect chains hop by hop while
 keeping every hop's Link header, and drives the boundary closure over a
-live host. Per-host politeness (minimum spacing, bounded concurrency)
-lives here so the works-API client can share one budget.
+live host. Per-host politeness (minimum spacing, bounded concurrency),
+retries and the User-Agent live here, and this is the only module that
+speaks HTTP: the works-API client sends its requests through it too.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Tests for the command line: exit codes, output streams, settings."""
 
+import dataclasses
 import json
 import signal
 import subprocess
@@ -12,11 +13,14 @@ from gen import distinct_specs
 
 from sgp import cli, resourcesync
 from sgp.cli import run
+from sgp.fixity import FixityInfo
 from sgp.fixtures import FixtureSpec, degrade, landing_spec, plos_spec, serve
 from sgp.harvester import pack_object_dump
 from sgp.navigator import HostThrottle, SignpostClient
 from sgp.resourcesync import (
     ChangeDumpIndex,
+    ChangeList,
+    emit_change_list,
     pack_change_dump,
     parse_change_list,
     unpack_change_dump,
@@ -187,6 +191,38 @@ class TestHarvest:
         payload, _ = _out_json(capsys)
         assert rc == 1
         assert not payload["records"][0]["completeness"]["passed"]
+
+    def test_unsupported_feed_fixity_exits_one(self, endpoint, tmp_path, capsys, monkeypatch):
+        parse = cli.parse_change_list
+        fixity = FixityInfo(algorithm="sha-512", digest="ab" * 64)
+
+        def sha512_feed(body):
+            # the served feed, re-emitted with a sha-512 hash on every entry
+            events = tuple(
+                dataclasses.replace(event, fixity=fixity) for event in parse(body).events
+            )
+            return parse(emit_change_list(ChangeList(events=events)))
+
+        monkeypatch.setattr(cli, "parse_change_list", sha512_feed)
+        rc = run(
+            [
+                "harvest",
+                "--feed",
+                endpoint.publisher_feed_uri,
+                "--store",
+                str(tmp_path / "store"),
+                "--api-base",
+                endpoint.base_uri,
+            ]
+        )
+        payload, err = _out_json(capsys)
+        assert rc == 1
+        assert err == ""
+        completeness = payload["records"][0]["completeness"]
+        assert not completeness["passed"]
+        assert [endpoint.entry_uri, "fixity: unsupported algorithm sha-512"] in completeness[
+            "failures"
+        ]
 
     def test_filter_tag_is_recorded(self, endpoint, tmp_path, capsys):
         rc = run(

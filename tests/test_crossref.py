@@ -1,4 +1,5 @@
-"""Works-API parsing, DOI handling, deposit classification, client retry."""
+"""Works-API parsing, DOI handling, deposit classification, and the
+client's mapping of navigator outcomes to registrar errors."""
 
 import json
 from datetime import datetime, timedelta, timezone
@@ -16,7 +17,7 @@ from sgp.crossref import (
     MissingDoi,
     NotAWork,
     NotFound,
-    RetryPolicy,
+    RateLimited,
     ServiceError,
     classify_deposit,
     metadata_uri_for,
@@ -24,6 +25,7 @@ from sgp.crossref import (
     parse_work,
     parse_work_list,
 )
+from sgp.navigator import PolitenessPolicy, SignpostClient
 
 
 class TestNormalizeDoi:
@@ -302,7 +304,7 @@ class TestClassifyDeposit:
 class StubResponse:
     def __init__(self, status_code, body="", headers=None):
         self.status_code = status_code
-        self.text = body
+        self.content = body.encode("utf-8")
         self.headers = headers or {}
 
 
@@ -311,15 +313,17 @@ class StubSession:
         self.responses = list(responses)
         self.calls = []
 
-    def get(self, url, timeout=None, headers=None):
+    def request(self, method, url, **kw):
         self.calls.append(url)
         return self.responses.pop(0)
 
-    def close(self):
-        pass
+
+FAST_RETRY = PolitenessPolicy(retries=2, backoff=0.0)
 
 
-FAST_RETRY = RetryPolicy(max_retries=2, backoff=0.0)
+def _client(responses):
+    session = StubSession(responses)
+    return CrossRefClient(SignpostClient(FAST_RETRY, session=session)), session
 
 
 def _work_body():
@@ -330,47 +334,45 @@ def _work_body():
 
 class TestClient:
     def test_fetch_work_uses_metadata_uri(self):
-        session = StubSession([StubResponse(200, _work_body())])
-        client = CrossRefClient(session=session, retry=FAST_RETRY)
+        client, session = _client([StubResponse(200, _work_body())])
         work = client.fetch_work("DOI:10.5/X")
         assert work.doi == "10.5/x"
         assert session.calls == ["http://api.crossref.org/works/10.5/x"]
 
     def test_retries_through_outage(self):
-        session = StubSession(
-            [StubResponse(503), StubResponse(200, _work_body())]
-        )
-        client = CrossRefClient(session=session, retry=FAST_RETRY)
+        client, session = _client([StubResponse(503), StubResponse(200, _work_body())])
         assert client.fetch_work("10.5/x").doi == "10.5/x"
         assert len(session.calls) == 2
 
     def test_persistent_outage_raises(self):
-        session = StubSession([StubResponse(503)] * 3)
-        client = CrossRefClient(session=session, retry=FAST_RETRY)
+        client, session = _client([StubResponse(503)] * 3)
         with pytest.raises(ServiceError) as err:
             client.fetch_work("10.5/x")
         assert err.value.status == 503
         assert len(session.calls) == 3
 
     def test_not_found_is_immediate(self):
-        session = StubSession([StubResponse(404)])
-        client = CrossRefClient(session=session, retry=FAST_RETRY)
+        client, session = _client([StubResponse(404)])
         with pytest.raises(NotFound):
             client.fetch_work("10.5/x")
         assert len(session.calls) == 1
 
     def test_rate_limit_retried_then_ok(self):
-        session = StubSession(
+        client, session = _client(
             [
                 StubResponse(429, headers={"Retry-After": "0"}),
                 StubResponse(200, _work_body()),
             ]
         )
-        client = CrossRefClient(session=session, retry=FAST_RETRY)
         assert client.fetch_work("10.5/x").doi == "10.5/x"
 
-    def test_retry_after_header_parsed(self):
-        policy = RetryPolicy(backoff=0.25)
-        assert policy.delay(0, "3") == 3.0
-        assert policy.delay(1, None) == 0.5
-        assert policy.delay(0, "soon") == 0.25
+    @pytest.mark.parametrize(
+        "statuses, error, calls",
+        [([429] * 3, RateLimited, 3), ([500], ServiceError, 1)],
+    )
+    def test_status_maps_to_registrar_error(self, statuses, error, calls):
+        client, session = _client([StubResponse(s) for s in statuses])
+        with pytest.raises(error) as err:
+            client.fetch_work("10.5/x")
+        assert err.value.status == statuses[0]
+        assert len(session.calls) == calls

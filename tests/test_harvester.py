@@ -11,6 +11,7 @@ import threading
 import zipfile
 
 import pytest
+import requests
 
 from gen import random_ingest_record
 from sgp.crossref import CrossRefClient
@@ -266,6 +267,20 @@ class TestHarvestIngest:
         assert not record.completeness.passed
         assert any("fixity" in reason for _, reason in record.completeness.failures)
 
+    def test_unsupported_trigger_fixity_is_a_failure(self, endpoint, client, tmp_path):
+        trigger = ChangeEvent(
+            loc=endpoint.entry_uri,
+            kind=ChangeKind.CREATED,
+            datetime=utcnow(),
+            fixity=FixityInfo(algorithm="sha-512", digest="ab" * 64),
+        )
+        store = IngestStore(tmp_path)
+        record = ingest(IngestTask(trigger=trigger), client, store, POLICY)
+        assert not record.completeness.passed
+        failure = (endpoint.entry_uri, "fixity: unsupported algorithm sha-512")
+        assert failure in record.completeness.failures
+        assert store.versions(record.key) == [1]
+
     def test_tombstone_task_is_rejected(self, client, tmp_path):
         task = IngestTask(trigger=_event("http://h.example/x", ChangeKind.DELETED))
         with pytest.raises(ValueError):
@@ -317,7 +332,7 @@ class TestRegistrarFallback:
         spec = degrade(plos_spec(), "no-entry-describedby")
         with serve(spec) as ep:
             client = SignpostClient(FAST)
-            registrar = CrossRefClient(api_base=ep.base_uri, timeout=5)
+            registrar = CrossRefClient(client, api_base=ep.base_uri)
             record = ingest(
                 IngestTask(trigger=_event(ep.entry_uri)),
                 client,
@@ -329,6 +344,32 @@ class TestRegistrarFallback:
         assert record.bibliography.matched is None
         assert record.bibliography.record.doi == "10.1371/journal.pone.0115253"
         assert any("publisher metadata" in n for n in record.bibliography.notes)
+
+    def test_works_api_connection_failure_is_a_note(self, tmp_path):
+        class NoWorksApi(requests.Session):
+            def request(self, method, url, **kwargs):
+                if "/works/" in url:
+                    raise requests.ConnectionError("connection refused")
+                return super().request(method, url, **kwargs)
+
+        spec = degrade(plos_spec(), "no-entry-describedby")
+        with serve(spec) as ep:
+            client = SignpostClient(FAST, session=NoWorksApi())
+            store = IngestStore(tmp_path)
+            record = ingest(
+                IngestTask(trigger=_event(ep.entry_uri)),
+                client,
+                store,
+                POLICY,
+                CrossRefClient(client, api_base=ep.base_uri),
+                resource_policy=ep.policy(),
+            )
+        assert record.completeness.passed
+        assert record.bibliography.record is None
+        (note,) = [n for n in record.bibliography.notes if n.startswith("registrar lookup")]
+        assert note.startswith("registrar lookup failed for 10.1371/journal.pone.0115253: ")
+        assert "connection refused" in note
+        assert store.versions(record.key) == [1]
 
     def test_without_fallback_the_notes_say_so(self, tmp_path):
         spec = degrade(plos_spec(), "no-entry-describedby")

@@ -2,10 +2,13 @@
 
 import hashlib
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 import requests
 
+from sgp import navigator
 from sgp.crossref import CrossRefClient
 from sgp.fixtures import degrade, landing_spec, plos_spec, serve, FixtureSpec
 from sgp.links import LinkSet, MalformedLinkField
@@ -218,7 +221,39 @@ class TestDiscovery:
         assert obj.failures[0][0].endswith("/plosone/article.xml")
 
 
+class _Response:
+    def __init__(self, status_code, headers=None):
+        self.status_code = status_code
+        self.headers = headers or {}
+        self.content = b""
+
+
+class _ScriptedSession:
+    def __init__(self, responses):
+        self.responses = list(responses)
+
+    def request(self, *args, **kwargs):
+        return self.responses.pop(0)
+
+
 class TestRetries:
+    def test_retry_after_header_parsed(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(
+            navigator, "time", SimpleNamespace(sleep=slept.append, monotonic=time.monotonic)
+        )
+        policy = PolitenessPolicy(backoff=0.25)
+        # Retry-After is honoured when it says longer than the backoff
+        for retry_after, delays in [("3", [3.0]), ("soon", [0.25]), (None, [0.25, 0.5])]:
+            headers = {} if retry_after is None else {"Retry-After": retry_after}
+            session = _ScriptedSession(
+                [_Response(503, headers) for _ in delays] + [_Response(200)]
+            )
+            slept.clear()
+            client = SignpostClient(policy, session=session)
+            assert client.head_links("http://example.test/a").status == 200
+            assert slept == delays
+
     def test_503_then_200_succeeds(self):
         spec = plos_spec()
         spec = FixtureSpec.from_json_dict(
@@ -342,7 +377,7 @@ class TestPoliteness:
             nav = SignpostClient(
                 PolitenessPolicy(min_interval_per_host=0.04, timeout=5)
             )
-            works = CrossRefClient(api_base=ep.base_uri, throttle=nav.throttle)
+            works = CrossRefClient(nav, api_base=ep.base_uri)
             ep.clear_log()
             nav.head_links(ep.entry_uri)
             work = works.fetch_work("10.1371/journal.pone.0115253")
