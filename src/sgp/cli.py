@@ -18,6 +18,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -38,6 +39,8 @@ from .crossref import (
     CrossRefError,
     InvalidDoi,
     MalformedJson,
+    MissingDoi,
+    NotAWork,
     metadata_uri_for,
     normalize_doi,
     parse_work,
@@ -79,6 +82,10 @@ _REGISTRAR_FEED_PATH = "/registrar/changelist.xml"
 
 class _Usage(Exception):
     """Operator error found after argparse: bad file, bad value."""
+
+
+# a works-API answer that is no work document (DOI arguments are checked earlier)
+_NOT_A_WORK = (MalformedJson, NotAWork, MissingDoi, InvalidDoi, MalformedEntry)
 
 
 # ------------------------------------------------------------- settings
@@ -474,6 +481,9 @@ def _cmd_fixture_serve(args: argparse.Namespace) -> int:
         raise _Usage(f"cannot load fixture spec {args.spec}: {exc}") from exc
     if not specs:
         raise _Usage(f"{args.spec} describes no objects")
+    # a shell starts background jobs with SIGINT ignored, and Python then
+    # raises no KeyboardInterrupt; this command must stop on SIGINT anyway
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     endpoint = serve(*specs, port=args.port)
     try:
         # a SIGINT sent as soon as this line is read must still exit cleanly
@@ -529,6 +539,7 @@ def run(argv: list[str] | None = None) -> int:
         CrossRefError,
         StoreFailure,
         OSError,
+        *_NOT_A_WORK,
     ) as exc:
         _note(f"error: {exc}")
         return EXIT_UNAVAILABLE

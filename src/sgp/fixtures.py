@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterable
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import urlsplit
 
 from .bibliography import BIBTEX_PROFILE, CROSSREF_JSON_PROFILE, RIS_PROFILE
 from .crossref import parse_work
@@ -693,27 +693,6 @@ class FixtureEndpoint:
 
     # -- shared documents
 
-    def _all_work_dicts(self) -> list[dict]:
-        dicts = [view.work_json_dict() for view in self.views]
-        dicts.sort(key=lambda d: d["deposited"]["date-time"], reverse=True)
-        return dicts
-
-    def _work_list_body(self, rows: int, offset: int) -> bytes:
-        everything = self._all_work_dicts()
-        doc = {
-            "message": {
-                "facets": {},
-                "items": everything[offset : offset + rows],
-                "items-per-page": rows,
-                "query": {"search-terms": None, "start-index": offset},
-                "total-results": len(everything),
-            },
-            "message-type": "work-list",
-            "message-version": "1.0.0",
-            "status": "ok",
-        }
-        return json.dumps(doc, sort_keys=True, indent=1).encode("utf-8")
-
     def _registrar_feed_body(self) -> bytes:
         events = tuple(
             view.registrar_event()
@@ -748,8 +727,7 @@ class FixtureEndpoint:
         return (("Link", value),) if value else ()
 
     def _route(self, raw_path: str) -> _Response:
-        split = urlsplit(raw_path)
-        path = split.path
+        path = urlsplit(raw_path).path
         scripted = self._scripted_status(path)
         if scripted is not None and scripted != 200:
             headers = (("Retry-After", "0"),) if scripted in (429, 503) else ()
@@ -759,15 +737,6 @@ class FixtureEndpoint:
             response = view.route(path, self._link_header)
             if response is not None:
                 return response
-        if path == "/works":
-            query = parse_qs(split.query)
-            rows = int(query.get("rows", ["20"])[0])
-            offset = int(query.get("offset", ["0"])[0])
-            return _Response(
-                200,
-                (("Content-Type", "application/json"),),
-                self._work_list_body(rows, offset),
-            )
         if path == "/registrar/changelist.xml":
             return _Response(
                 200, (("Content-Type", "application/xml"),), self._registrar_feed_body()

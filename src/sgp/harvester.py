@@ -44,7 +44,7 @@ from .fixity import (
     verify_fixity,
 )
 from .links import MalformedLinkField
-from .navigator import FetchResult, HttpError, NavigationError
+from .navigator import HttpError, NavigationError
 from .resources import (
     DEFAULT_POLICY,
     NoEntryPage,
@@ -704,22 +704,20 @@ class _Got(NamedTuple):
 
 
 class _LiveSource:
-    """Bytes over HTTP. Discovery GETs each item and hands its body on,
-    so every member is downloaded once."""
+    """Bytes over HTTP through a navigator memoised for this one task:
+    discovery GETs each item, and the fetch stage's GETs of the same
+    URIs are answered from the memo, so every member is downloaded once."""
 
     def __init__(self, nav, trigger: ChangeEvent):
-        self._nav = nav
+        self._nav = nav.memoised()
         self._trigger = trigger
-        self._discovered: dict[str, FetchResult] = {}
 
     def boundary(self, policy: ResourcePolicy) -> ScholarlyObject:
-        return self._nav.discover_object(
-            self._trigger.loc, policy=policy, fetched=self._discovered
-        )
+        return self._nav.discover_object(self._trigger.loc, policy=policy, get_items=True)
 
     def get(self, uri: str) -> _Got:
         try:
-            result = self._discovered.pop(uri, None) or self._nav.fetch_resource(uri)
+            result = self._nav.fetch_resource(uri)
         except HttpError as err:
             return _Got(
                 err.result.status,

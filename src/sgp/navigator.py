@@ -5,10 +5,12 @@ keeping every hop's Link header, and drives the boundary closure over a
 live host. Per-host politeness (minimum spacing, bounded concurrency),
 retries and the User-Agent live here, and this is the only module that
 speaks HTTP: the works-API client sends its requests through it too.
+A ``memoised()`` view answers one task's repeated requests from a memo.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import threading
 import time
@@ -209,6 +211,7 @@ class SignpostClient:
         self._strict = strict
         self._vocabulary = vocabulary
         self.throttle = throttle if throttle is not None else HostThrottle(policy)
+        self._memo: dict | None = None  # (method, uri) -> (hops, result)
 
     # -- single request
 
@@ -297,20 +300,45 @@ class SignpostClient:
             raise HttpError(result)
         return result
 
+    def _fetch(self, method: str, uri: str) -> tuple[tuple[Hop, ...], FetchResult]:
+        """The one request path: walk, then the terminal response,
+        answered from the open memo when it holds ``(method, uri)``."""
+        memo = self._memo
+        if memo is not None and (method, uri) in memo:
+            return memo[(method, uri)]
+        hops, response, final_uri = self._walk(method, uri)
+        result = self._terminal(uri, final_uri, response, with_body=method == "GET")
+        answer = (tuple(hops), result)
+        if memo is not None:
+            memo[(method, uri)] = answer
+            memo.setdefault((method, final_uri), ((), result))
+        return answer
+
     # -- public operations
 
+    def memoised(self) -> SignpostClient:
+        """This client with a fresh response memo, for one task.
+
+        The view shares session, policy, throttle, strictness and
+        vocabulary. Successful responses are kept under (method, uri) and
+        their final URI; errors are not, and a GET never answers a HEAD.
+        A client whose memo is already open returns itself.
+        """
+        if self._memo is not None:
+            return self
+        view = copy.copy(self)
+        view._memo = {}
+        return view
+
     def head_links(self, uri: str) -> FetchResult:
-        hops, response, final_uri = self._walk("HEAD", uri)
-        return self._terminal(uri, final_uri, response, with_body=False)
+        return self._fetch("HEAD", uri)[1]
 
     def fetch_resource(self, uri: str) -> FetchResult:
-        hops, response, final_uri = self._walk("GET", uri)
-        return self._terminal(uri, final_uri, response, with_body=True)
+        return self._fetch("GET", uri)[1]
 
     def resolve_persistent(self, uri: str) -> RedirectChain:
-        hops, response, final_uri = self._walk("HEAD", uri)
-        terminal = self._terminal(uri, final_uri, response, with_body=False)
-        return RedirectChain(hops=tuple(hops), terminal=terminal)
+        hops, terminal = self._fetch("HEAD", uri)
+        return RedirectChain(hops=hops, terminal=terminal)
 
     def discover_object(
         self,
@@ -319,47 +347,36 @@ class SignpostClient:
         policy: ResourcePolicy = DEFAULT_RESOURCE_POLICY,
         max_collection_hops: int = 1,
         max_item_depth: int | None = None,
-        fetched: dict[str, FetchResult] | None = None,
+        get_items: bool = False,
     ) -> ScholarlyObject:
         """Boundary closure from any member URI.
 
         The walk up collection links happens here, over HEAD, so the entry
         page's media type is known first-hand; the closure then expands
-        item links with a per-call memo, one request per distinct resource.
-        Items are HEADed unless ``fetched`` is given: then each item is
-        fetched by GET, its links are read from that response, and every
-        successful result is recorded in ``fetched`` under the item's URI,
-        so a harvest need not download it again. The start and the entry
+        item links. Every request goes through a memo (this client's own
+        when it is ``memoised()``, else a fresh one), so each distinct
+        resource is requested once. Items are HEADed unless ``get_items``:
+        then each item is fetched by GET and its links are read from that
+        response, and a memoised caller reads the bodies back with
+        ``fetch_resource`` at no further request. The start and the entry
         page stay HEAD either way: a landing-page entry is never
         downloaded, so a GET there would only add bytes.
         """
-        cache: dict[str, FetchResult] = {}
-        item_request = self.head_links if fetched is None else self.fetch_resource
-
-        def fetch(uri: str, request) -> FetchResult:
-            hit = cache.get(uri)
-            if hit is not None:
-                return hit
-            result = request(uri)
-            cache[result.uri] = result
-            cache[result.final_uri] = result
-            return result
-
-        current = fetch(start, self.head_links)
+        nav = self.memoised()
+        current = nav.head_links(start)
         hopped = {current.final_uri}
         for _ in range(max_collection_hops):
             upward = select(current.links, "collection")
             if not upward or upward[0].target in hopped:
                 break
-            current = fetch(upward[0].target, self.head_links)
+            current = nav.head_links(upward[0].target)
             hopped.add(current.final_uri)
+        item_request = nav.fetch_resource if get_items else nav.head_links
 
         def oracle(uri: str) -> LinkSet:
-            # the entry is always a cache hit, so only items reach item_request
-            result = fetch(uri, item_request)
-            if fetched is not None and result.body is not None:
-                fetched[uri] = result
-            return result.links
+            if uri == current.final_uri:
+                return current.links
+            return item_request(uri).links
 
         return boundary_closure(
             current.final_uri,

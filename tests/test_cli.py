@@ -5,7 +5,9 @@ import json
 import signal
 import subprocess
 import sys
+import threading
 import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -479,6 +481,48 @@ class TestAudit:
         assert "12/12" in capsys.readouterr().out
 
 
+def _envelope(message: dict) -> bytes:
+    return json.dumps({"status": "ok", "message-type": "work", "message": message}).encode()
+
+
+# bodies a works API might answer 200 with that are no usable work document
+_NOT_WORKS = {
+    "html": b"<html><body>maintenance</body></html>",
+    "work-list": json.dumps(
+        {"status": "ok", "message-type": "work-list", "message": {"items": []}}
+    ).encode(),
+    "no-doi": _envelope({"title": ["A title"]}),
+    "bad-doi": _envelope({"DOI": "junk", "title": ["A title"]}),
+    # a work, but not one a record can be built from
+    "no-title": _envelope({"DOI": DOI}),
+}
+_NO_WORK_AT_ALL = ["html", "work-list", "no-doi", "bad-doi"]
+
+
+@pytest.fixture
+def not_a_work_api(request):
+    """A works API that answers every GET with 200 and the ``_NOT_WORKS``
+    body named by the test's parameter; yields its base URI."""
+    body = _NOT_WORKS[request.param]
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+
+
 class TestCrossrefWorks:
     def test_prints_the_work_document(self, endpoint, capsys):
         rc = run(["crossref", "works", DOI, "--api-base", endpoint.base_uri])
@@ -509,6 +553,14 @@ class TestCrossrefWorks:
         monkeypatch.setenv("SGP_API_BASE", "http://127.0.0.1:9")
         rc = run(["crossref", "works", DOI, "--api-base", endpoint.base_uri])
         assert rc == 0
+
+    @pytest.mark.parametrize("not_a_work_api", _NO_WORK_AT_ALL, indirect=True)
+    def test_a_body_that_is_no_work_is_unavailable(self, not_a_work_api, capsys):
+        rc = run(["crossref", "works", DOI, "--api-base", not_a_work_api])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestReconcile:
@@ -552,18 +604,27 @@ class TestReconcile:
         rc = run(["reconcile", "absent.bib", DOI])
         assert rc == 2
 
+    @pytest.mark.parametrize("not_a_work_api", [*_NO_WORK_AT_ALL, "no-title"], indirect=True)
+    def test_a_registrar_body_that_is_no_work_is_unavailable(self, not_a_work_api, capsys):
+        rc = run(["reconcile", str(DATA / "article.bib"), DOI, "--api-base", not_a_work_api])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 @pytest.fixture
 def serve_child():
     """Start ``python -m sgp fixture serve`` children; kill any still running."""
     procs = []
 
-    def start(specfile: Path) -> subprocess.Popen:
+    def start(specfile: Path, preexec_fn=None) -> subprocess.Popen:
         proc = subprocess.Popen(
             [sys.executable, "-m", "sgp", "fixture", "serve", str(specfile)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
+            preexec_fn=preexec_fn,
         )
         procs.append(proc)
         return proc
@@ -611,6 +672,20 @@ class TestFixtureServe:
             assert base, _no_base_uri(proc)
             with urllib.request.urlopen(base + second.entry_path, timeout=5) as resp:
                 assert resp.status == 200
+        finally:
+            proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+
+    def test_interrupted_when_started_with_sigint_ignored(self, tmp_path, serve_child):
+        # a non-interactive shell starts background jobs so
+        specfile = tmp_path / "spec.json"
+        specfile.write_text(json.dumps(plos_spec().to_json_dict()))
+        proc = serve_child(
+            specfile, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN)
+        )
+        try:
+            base = proc.stdout.readline().strip()
+            assert base.startswith("http://127.0.0.1:"), _no_base_uri(proc)
         finally:
             proc.send_signal(signal.SIGINT)
         assert proc.wait(timeout=10) == 0

@@ -7,7 +7,7 @@ import urllib.request
 import pytest
 
 from sgp.bibliography import parse_bibtex, parse_ris, from_crossref, reconcile
-from sgp.crossref import parse_work, parse_work_list
+from sgp.crossref import parse_work
 from sgp.fixtures import (
     ABLATION_KEYS,
     ABLATION_RECOMMENDATION,
@@ -186,23 +186,6 @@ class TestWorksApi:
         assert work.member_id == "340"
         assert work.publisher == "Public Library of Science"
         assert len(work.authors) == 7
-
-    def test_listing_sorted_by_deposited_desc(self):
-        with serve(plos_spec(), landing_spec()) as ep:
-            _, _, body = get(ep.uri("/works?sort=deposited&order=desc&rows=5&offset=0"))
-        works = parse_work_list(body).items
-        deposits = [w.deposited for w in works]
-        assert deposits == sorted(deposits, reverse=True)
-        assert len(works) == 2
-
-    def test_listing_pagination(self):
-        with serve(plos_spec(), landing_spec()) as ep:
-            _, _, page1 = get(ep.uri("/works?rows=1&offset=0"))
-            _, _, page2 = get(ep.uri("/works?rows=1&offset=1"))
-        first = parse_work_list(page1).items
-        second = parse_work_list(page2).items
-        assert len(first) == len(second) == 1
-        assert first[0].doi != second[0].doi
 
 
 class TestFeeds:

@@ -190,19 +190,20 @@ class TestDiscovery:
     def test_discovery_with_a_mapping_gets_items_and_keeps_them(self, endpoint, client):
         policy = endpoint.policy()
         by_head = client.discover_object(endpoint.entry_uri, policy=policy)
-        fetched = {}
+        nav = client.memoised()
         endpoint.clear_log()
-        obj = client.discover_object(endpoint.entry_uri, policy=policy, fetched=fetched)
+        obj = nav.discover_object(endpoint.entry_uri, policy=policy, get_items=True)
         log = endpoint.log()
         assert [e.path for e in log if e.method == "HEAD"] == [endpoint.spec.entry_path]
         items = [asset.path for asset in endpoint.spec.assets]
         assert sorted(e.path for e in log if e.method == "GET") == sorted(items)
         assert obj == by_head
-        assert sorted(fetched) == sorted(endpoint.asset_uris())
+        # the memo is the mapping: every item's body comes back without a request
         for asset in endpoint.spec.assets:
-            result = fetched[endpoint.uri(asset.path)]
+            result = nav.fetch_resource(endpoint.uri(asset.path))
             assert result.body == asset.body()
             assert result.sha256 == hashlib.sha256(asset.body()).hexdigest()
+        assert endpoint.log() == log
 
     def test_plain_page_has_no_object(self, endpoint, client):
         with pytest.raises(NoEntryPage):
@@ -219,6 +220,64 @@ class TestDiscovery:
         assert len(obj.publication_resources) == 4
         assert len(obj.failures) == 1
         assert obj.failures[0][0].endswith("/plosone/article.xml")
+
+
+class TestMemo:
+    def test_repeated_head_and_get_make_one_request_each(self, endpoint, client):
+        nav = client.memoised()
+        pdf = endpoint.asset_uris()[0]
+        endpoint.clear_log()
+        assert nav.head_links(endpoint.entry_uri) == nav.head_links(endpoint.entry_uri)
+        assert nav.fetch_resource(pdf) == nav.fetch_resource(pdf)
+        assert [(e.method, e.path) for e in endpoint.log()] == [
+            ("HEAD", endpoint.spec.entry_path),
+            ("GET", endpoint.spec.assets[0].path),
+        ]
+
+    def test_a_head_never_answers_a_get(self, endpoint, client):
+        nav = client.memoised()
+        pdf = endpoint.asset_uris()[0]
+        endpoint.clear_log()
+        assert nav.head_links(pdf).body is None
+        assert nav.fetch_resource(pdf).body is not None
+        assert [e.method for e in endpoint.log()] == ["HEAD", "GET"]
+
+    def test_an_error_is_not_kept(self):
+        spec = FixtureSpec.from_json_dict(
+            {**plos_spec().to_json_dict(), "status_scripts": [["/plosone/article.xml", [404]]]}
+        )
+        with serve(spec) as ep:
+            nav = SignpostClient(FAST).memoised()
+            xml = ep.uri("/plosone/article.xml")
+            with pytest.raises(HttpError):
+                nav.fetch_resource(xml)
+            assert nav.fetch_resource(xml).status == 200
+            assert nav.fetch_resource(xml).status == 200
+            assert [e.method for e in ep.log()] == ["GET", "GET"]
+
+    def test_views_do_not_share_entries(self, endpoint, client):
+        first, second = client.memoised(), client.memoised()
+        assert first is not second
+        assert first.memoised() is first
+        endpoint.clear_log()
+        first.head_links(endpoint.entry_uri)
+        second.head_links(endpoint.entry_uri)
+        client.head_links(endpoint.entry_uri)
+        client.head_links(endpoint.entry_uri)
+        assert len(endpoint.log()) == 4
+
+    def test_redirect_chain_is_kept_with_its_final_uri(self, endpoint, client):
+        nav = client.memoised()
+        endpoint.clear_log()
+        first = nav.resolve_persistent(endpoint.doi_uri)
+        requests_made = len(endpoint.log())
+        again = nav.resolve_persistent(endpoint.doi_uri)
+        assert again.hops == first.hops
+        assert [h.status for h in again.hops] == [303, 302]
+        final = nav.head_links(first.terminal.final_uri)
+        assert final.final_uri == endpoint.entry_uri
+        assert final.links == first.terminal.links
+        assert len(endpoint.log()) == requests_made == 3
 
 
 class _Response:

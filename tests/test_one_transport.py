@@ -1,13 +1,18 @@
 """One HTTP transport: only `sgp.navigator` may import `requests`, so the
 retry policy, User-Agent, redirect walk and per-host throttle cannot be
-bypassed, and a change of HTTP library touches one module."""
+bypassed, and a change of HTTP library touches one module. The
+benchmark's tracer wraps that transport by name, so it must still fit."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import sgp
+from sgp import cli
+from sgp.navigator import SignpostClient
 
 SRC = Path(sgp.__file__).parent
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def _imports_requests(tree: ast.AST) -> bool:
@@ -30,3 +35,19 @@ def test_only_the_navigator_imports_requests():
         if _imports_requests(ast.parse(path.read_text(encoding="utf-8")))
     )
     assert importers == ["navigator"]
+
+
+def test_benchmark_tracer_installs():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    head_links, run = SignpostClient.head_links, cli.run
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert SignpostClient.head_links is not head_links
+        assert cli.run is not run
+    finally:
+        tracer.uninstall()
+    assert SignpostClient.head_links is head_links
+    assert cli.run is run
