@@ -88,6 +88,15 @@ class _Usage(Exception):
 _NOT_A_WORK = (MalformedJson, NotAWork, MissingDoi, InvalidDoi, MalformedEntry)
 
 
+@contextlib.contextmanager
+def _naming(uri: str):
+    """Prefix ``uri`` to the message of a no-work error raised inside."""
+    try:
+        yield
+    except _NOT_A_WORK as exc:
+        raise type(exc)(f"{uri}: {exc}") from exc
+
+
 # ------------------------------------------------------------- settings
 
 
@@ -431,11 +440,12 @@ def _cmd_crossref_works(args: argparse.Namespace) -> int:
             _note(f"no work registered for {doi}")
             return EXIT_VERIFICATION
         raise
-    try:
-        document = json.loads(body)
-    except ValueError as exc:
-        raise MalformedJson(f"{uri}: {exc}") from exc
-    parse_work(document)
+    with _naming(uri):
+        try:
+            document = json.loads(body)
+        except ValueError as exc:
+            raise MalformedJson(str(exc)) from exc
+        parse_work(document)
     _emit_json(document)
     return EXIT_OK
 
@@ -466,7 +476,8 @@ def _cmd_reconcile(args: argparse.Namespace) -> int:
         raise _Usage(f"bad DOI: {exc}") from exc
     uri = metadata_uri_for(doi, api_base=api_base)
     body = SignpostClient().fetch_resource(uri).body or b""
-    registrar = parse_crossref_json(body, source_uri=uri)
+    with _naming(uri):
+        registrar = parse_crossref_json(body, source_uri=uri)
     report = reconcile(publisher, registrar)
     _emit_json(report.to_json_dict())
     return EXIT_OK if report.matched else EXIT_VERIFICATION

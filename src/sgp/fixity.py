@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-import string
+import re
 from dataclasses import dataclass
 
 __all__ = [
@@ -16,7 +16,8 @@ __all__ = [
 
 # algorithm name -> (hashlib constructor, hex digest length)
 _ALGORITHMS = {"md5": (hashlib.md5, 32), "sha-256": (hashlib.sha256, 64)}
-_HEX = set(string.hexdigits)
+# [0-9a-f], not \d or str.isdigit: other scripts' digits are no hex
+_HEX_RE = re.compile("[0-9a-f]+")
 
 
 class UnsupportedAlgorithm(ValueError):
@@ -37,7 +38,7 @@ class FixityInfo:
     def __post_init__(self) -> None:
         object.__setattr__(self, "algorithm", self.algorithm.lower())
         object.__setattr__(self, "digest", self.digest.lower())
-        if not self.digest or any(c not in _HEX for c in self.digest):
+        if not _HEX_RE.fullmatch(self.digest):
             raise ValueError(f"digest is not hex: {self.digest!r}")
         known = _ALGORITHMS.get(self.algorithm)
         if known and len(self.digest) != known[1]:
@@ -90,14 +91,25 @@ def compute_fixity(
     )
 
 
-def verify_fixity(payload: bytes, fixity: FixityInfo) -> FixityVerdict:
-    """Pass iff the digest and, when recorded, the length match."""
+def verify_fixity(
+    payload: bytes, fixity: FixityInfo, *, sha256: str | None = None
+) -> FixityVerdict:
+    """Pass iff the digest and, when recorded, the length match.
+
+    ``sha256`` is the payload's SHA-256 hex digest where the caller has
+    it already; a sha-256 fixity is then checked against it, not hashed
+    again.
+    """
     try:
         ctor, _ = _ALGORITHMS[fixity.algorithm]
     except KeyError:
         raise UnsupportedAlgorithm(fixity.algorithm) from None
     if fixity.length is not None and len(payload) != fixity.length:
         return FixityVerdict(False, "length-mismatch")
-    if ctor(payload).hexdigest() != fixity.digest:
+    if sha256 is not None and fixity.algorithm == "sha-256":
+        digest = sha256
+    else:
+        digest = ctor(payload).hexdigest()
+    if digest != fixity.digest:
         return FixityVerdict(False, "digest-mismatch")
     return FixityVerdict(True)

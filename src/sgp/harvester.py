@@ -16,12 +16,14 @@ import enum
 import hashlib
 import io
 import json
+import os
 import threading
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 from urllib.parse import quote, unquote, urlsplit
 
 from .bibliography import (
@@ -517,21 +519,33 @@ class IngestStore:
         """Recompute every payload digest and re-parse every record;
         returns a list of problems, empty when the store is clean."""
         problems: list[str] = []
-        for path in sorted((self.root / "payloads").rglob("*")):
-            if not path.is_file():
-                continue
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            if digest != path.name:
-                problems.append(f"payload {path.name}: content digest {digest}")
+        for entry in _files_in_path_order(self.root / "payloads"):
+            with open(entry.path, "rb") as handle:
+                digest = hashlib.sha256(handle.read()).hexdigest()
+            if digest != entry.name:
+                problems.append(f"payload {entry.name}: content digest {digest}")
         for directory in sorted((self.root / "records").iterdir()):
             for path in sorted(directory.glob("*.json")):
                 try:
                     IngestRecord.from_json_dict(
                         json.loads(path.read_text(encoding="utf-8"))
                     )
-                except (ValueError, KeyError) as exc:
+                except (ValueError, KeyError, TypeError) as exc:
                     problems.append(f"record {directory.name}/{path.name}: {exc}")
         return problems
+
+
+def _files_in_path_order(directory: str | os.PathLike) -> Iterator[os.DirEntry]:
+    """Every file below ``directory`` in the order ``sorted(rglob("*"))``
+    gives: depth first, each directory's entries by name, symlinked
+    directories not entered."""
+    with os.scandir(directory) as listing:
+        entries = sorted(listing, key=attrgetter("name"))
+    for entry in entries:
+        if entry.is_dir(follow_symlinks=False):
+            yield from _files_in_path_order(entry.path)
+        elif entry.is_file():
+            yield entry
 
 
 # --------------------------------------------------------- verdicts
@@ -854,9 +868,11 @@ def _ingest(
                 fetched_at=got.fetched_at,
             )
         else:
+            # stored whatever its fixity: a mismatch is recorded as a failure
+            digest = store.store_payload(got.body)
             if got.fixity is not None:
                 try:
-                    verdict = verify_fixity(got.body, got.fixity)
+                    verdict = verify_fixity(got.body, got.fixity, sha256=digest)
                 except UnsupportedAlgorithm as exc:
                     verdict = FixityVerdict(False, f"unsupported algorithm {exc}")
                 if not verdict:
@@ -865,7 +881,7 @@ def _ingest(
             summary = FetchSummary(
                 uri=uri,
                 status=got.status,
-                sha256=store.store_payload(got.body),
+                sha256=digest,
                 length=len(got.body),
                 media_type=got.media_type or fallback_media,
                 fetched_at=got.fetched_at,

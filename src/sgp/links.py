@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Iterable, Iterator
 from urllib.parse import urljoin, urlsplit
 
@@ -22,6 +23,8 @@ __all__ = [
     "LinkSet",
     "Vocabulary",
     "DEFAULT_VOCABULARY",
+    "relation_type",
+    "link_attributes",
     "MalformedLinkField",
     "InvalidBase",
     "parse_link_field",
@@ -46,6 +49,7 @@ TOKEN_CHARS = frozenset("!#$%&'*+-.^_`|~" + string.ascii_letters + string.digits
 # emit those without quotes (cannot collide with ';' ',' '=' delimiters)
 UNQUOTED_VALUE_CHARS = TOKEN_CHARS | frozenset("/:")
 _WS = " \t\r\n"
+_WS_RE = re.compile(r"[ \t\r\n]")
 _MEDIA_TYPE_RE = re.compile(
     r"[!#$%&'*+.^_`|~0-9A-Za-z-]+/[!#$%&'*+.^_`|~0-9A-Za-z-]+"
 )
@@ -76,26 +80,26 @@ class InvalidBase(ValueError):
 class RelationType:
     """A link relation: either a registered-style token or an extension URI.
 
-    The raw spelling is kept; equality and hashing use a normalised key
-    (casefolded for tokens, exact for URIs, which are the values
-    containing a colon).
+    The raw spelling is kept; equality and hashing use a normalised key,
+    computed once (casefolded for tokens, exact for URIs, which are the
+    values containing a colon). Parsers share instances through
+    ``relation_type``.
     """
 
     value: str
+    key: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.value:
             raise ValueError("relation type must be non-empty")
-        if any(c in _WS for c in self.value):
+        if _WS_RE.search(self.value):
             raise ValueError(f"relation type contains whitespace: {self.value!r}")
+        key = self.value if self.is_extension else self.value.casefold()
+        object.__setattr__(self, "key", key)
 
     @property
     def is_extension(self) -> bool:
         return ":" in self.value
-
-    @property
-    def key(self) -> str:
-        return self.value if self.is_extension else self.value.casefold()
 
     @property
     def registered(self) -> bool:
@@ -113,12 +117,24 @@ class RelationType:
         return f"RelationType({self.value!r})"
 
 
-ITEM = RelationType("item")
-COLLECTION = RelationType("collection")
-DESCRIBEDBY = RelationType("describedby")
-DESCRIBES = RelationType("describes")
-TYPE = RelationType("type")
-PERSISTENT_ID = RelationType("persistent-id")
+# Feeds and headers repeat a handful of relation spellings and attribute
+# records thousands of times; parsers take shared instances from these
+# bounded caches, so each distinct value is built and checked once.
+_VALUE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_VALUE_CACHE_SIZE)
+def relation_type(value: str) -> RelationType:
+    """The shared RelationType for one spelling."""
+    return RelationType(value)
+
+
+ITEM = relation_type("item")
+COLLECTION = relation_type("collection")
+DESCRIBEDBY = relation_type("describedby")
+DESCRIBES = relation_type("describes")
+TYPE = relation_type("type")
+PERSISTENT_ID = relation_type("persistent-id")
 
 
 @dataclass(frozen=True)
@@ -132,17 +148,23 @@ class Vocabulary:
 
     persistent_id_rels: tuple[str, ...] = ("persistent-id",)
     sem_type_params: tuple[str, ...] = ("sem-type",)
+    # the aliases casefolded once, for the parsers' per-token lookups
+    _persistent_id_folded: frozenset[str] = field(init=False, repr=False, compare=False)
+    _sem_type_folded: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        folded = frozenset(alias.casefold() for alias in self.persistent_id_rels)
+        object.__setattr__(self, "_persistent_id_folded", folded)
+        folded = frozenset(alias.casefold() for alias in self.sem_type_params)
+        object.__setattr__(self, "_sem_type_folded", folded)
 
     def canonical_rel_token(self, token: str) -> str:
-        folded = token.casefold()
-        for alias in self.persistent_id_rels:
-            if folded == alias.casefold():
-                return self.persistent_id_rels[0]
+        if token.casefold() in self._persistent_id_folded:
+            return self.persistent_id_rels[0]
         return token
 
     def is_sem_type_param(self, name: str) -> bool:
-        folded = name.casefold()
-        return any(folded == alias.casefold() for alias in self.sem_type_params)
+        return name.casefold() in self._sem_type_folded
 
 
 DEFAULT_VOCABULARY = Vocabulary()
@@ -167,7 +189,18 @@ class LinkAttributes:
             raise ValueError(f"not a media type: {self.media_type!r}")
 
 
-_NO_ATTRS = LinkAttributes()
+@lru_cache(maxsize=_VALUE_CACHE_SIZE)
+def link_attributes(
+    media_type: str | None,
+    profile: str | None,
+    sem_type: str | None,
+    extra: tuple[tuple[str, str | None], ...],
+) -> LinkAttributes:
+    """The shared LinkAttributes for one combination of values."""
+    return LinkAttributes(media_type, profile, sem_type, extra)
+
+
+_NO_ATTRS = link_attributes(None, None, None, ())
 
 
 @dataclass(frozen=True)
@@ -211,8 +244,8 @@ class LinkSet:
 def select(links: Iterable[TypedLink], rel: RelationType | str) -> tuple[TypedLink, ...]:
     """All links with the given relation, in order. Matching is
     case-insensitive for token relations, exact for extension URIs."""
-    want = rel if isinstance(rel, RelationType) else RelationType(rel)
-    return tuple(link for link in links if link.rel == want)
+    key = (rel if isinstance(rel, RelationType) else relation_type(rel)).key
+    return tuple(link for link in links if link.rel.key == key)
 
 
 def parse_link_field(
@@ -378,14 +411,9 @@ def _assemble(
     if rel_tokens is None:
         raise MalformedLinkField("missing rel parameter", lv_start)
 
-    attrs = LinkAttributes(
-        media_type=media_type,
-        profile=profile,
-        sem_type=sem_type,
-        extra=tuple(extras),
-    )
+    attrs = link_attributes(media_type, profile, sem_type, tuple(extras))
     return [
-        TypedLink(target=target, rel=RelationType(voc.canonical_rel_token(tok)), attrs=attrs)
+        TypedLink(target=target, rel=relation_type(voc.canonical_rel_token(tok)), attrs=attrs)
         for tok in rel_tokens
     ]
 
@@ -450,12 +478,12 @@ def link_to_json(link: TypedLink) -> dict:
 def link_from_json(d: dict) -> TypedLink:
     return TypedLink(
         target=d["target"],
-        rel=RelationType(d["rel"]),
-        attrs=LinkAttributes(
-            media_type=d.get("type"),
-            profile=d.get("profile"),
-            sem_type=d.get("sem_type"),
-            extra=tuple((name, value) for name, value in d.get("extra", [])),
+        rel=relation_type(d["rel"]),
+        attrs=link_attributes(
+            d.get("type"),
+            d.get("profile"),
+            d.get("sem_type"),
+            tuple((name, value) for name, value in d.get("extra", ())),
         ),
         source=d.get("source"),
     )

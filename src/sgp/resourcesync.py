@@ -28,6 +28,7 @@ from .fixity import (  # noqa: F401 - re-exported, feeds carry fixity
     verify_fixity,
 )
 from .links import (
+    COLLECTION,
     DESCRIBEDBY,
     ITEM,
     PERSISTENT_ID,
@@ -35,9 +36,10 @@ from .links import (
     DEFAULT_VOCABULARY,
     LinkAttributes,
     LinkSet,
-    RelationType,
     TypedLink,
     Vocabulary,
+    link_attributes,
+    relation_type,
 )
 from .resources import DEFAULT_POLICY, ResourcePolicy, ScholarlyObject, object_from_links
 from .rfc3339 import format_rfc3339, parse_rfc3339
@@ -165,35 +167,31 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _children(elem: ET.Element, name: str) -> list[ET.Element]:
-    return [child for child in elem if _local(child.tag) == name]
-
-
-_KNOWN_LN_ATTRS = ("rel", "href", "type", "profile")
+_KNOWN_LN_ATTRS = frozenset(("rel", "href", "type", "profile"))
 
 
 def _link_from_ln(
     elem: ET.Element, source: str, vocabulary: Vocabulary
 ) -> list[TypedLink]:
-    attrib = dict(elem.attrib)
-    rel_value = attrib.pop("rel", None)
-    href = attrib.pop("href", None)
+    attrib = elem.attrib
+    rel_value = attrib.get("rel")
+    href = attrib.get("href")
     if not rel_value or not href:
         raise MalformedXml("rs:ln needs rel and href attributes")
-    media_type = attrib.pop("type", None)
-    profile = attrib.pop("profile", None)
     sem_type = None
-    for name in list(attrib):
-        if vocabulary.is_sem_type_param(name) and sem_type is None:
-            sem_type = attrib.pop(name)
-    extras = tuple(attrib.items())
-    attrs = LinkAttributes(
-        media_type=media_type, profile=profile, sem_type=sem_type, extra=extras
-    )
+    extras = []
+    for name, value in attrib.items():
+        if name in _KNOWN_LN_ATTRS:
+            continue
+        if sem_type is None and vocabulary.is_sem_type_param(name):
+            sem_type = value
+        else:
+            extras.append((name, value))
+    attrs = link_attributes(attrib.get("type"), attrib.get("profile"), sem_type, tuple(extras))
     return [
         TypedLink(
             target=href,
-            rel=RelationType(vocabulary.canonical_rel_token(token)),
+            rel=relation_type(vocabulary.canonical_rel_token(token)),
             attrs=attrs,
             source=source,
         )
@@ -204,17 +202,26 @@ def _link_from_ln(
 def _event_from_url(
     url: ET.Element, strict: bool, vocabulary: Vocabulary, with_path: bool
 ) -> tuple[ChangeEvent, str | None]:
-    loc_elems = _children(url, "loc")
-    if not loc_elems or not (loc_elems[0].text or "").strip():
+    # one pass over the children: the first loc, the first md, every ln
+    loc_elem = md = None
+    lns: list[ET.Element] = []
+    for child in url:
+        name = _local(child.tag)
+        if name == "ln":
+            lns.append(child)
+        elif name == "loc":
+            if loc_elem is None:
+                loc_elem = child
+        elif name == "md" and md is None:
+            md = child
+    if loc_elem is None or not (loc_elem.text or "").strip():
         raise MalformedXml("url element without loc")
-    loc = loc_elems[0].text.strip()
+    loc = loc_elem.text.strip()
     if _LOC_FORBIDDEN.search(loc):
         raise MalformedXml(f"loc holds whitespace or a control character: {loc!r}")
 
-    md_elems = _children(url, "md")
-    if not md_elems:
+    if md is None:
         raise MissingChangeAttribute(f"{loc}: url without rs:md")
-    md = md_elems[0]
     change = md.get("change")
     if change is None:
         raise MissingChangeAttribute(f"{loc}: rs:md without change attribute")
@@ -243,7 +250,7 @@ def _event_from_url(
     path = md.get("path") if with_path else None
 
     links: list[TypedLink] = []
-    for ln in _children(url, "ln"):
+    for ln in lns:
         links.extend(_link_from_ln(ln, loc, vocabulary))
 
     event = ChangeEvent(
@@ -276,9 +283,15 @@ def _parse_urlset(
 
     capability = expected_capability
     from_time = until_time = None
-    root_md = _children(root, "md")
-    if root_md:
-        md = root_md[0]
+    md = None
+    urls: list[ET.Element] = []
+    for child in root:
+        name = _local(child.tag)
+        if name == "url":
+            urls.append(child)
+        elif name == "md" and md is None:
+            md = child
+    if md is not None:
         capability = md.get("capability") or expected_capability
         if capability != expected_capability:
             _complain(
@@ -298,10 +311,7 @@ def _parse_urlset(
     if from_time and until_time and from_time > until_time:
         _complain("from is later than until", strict)
 
-    entries = [
-        _event_from_url(url, strict, vocabulary, with_paths)
-        for url in _children(root, "url")
-    ]
+    entries = [_event_from_url(url, strict, vocabulary, with_paths) for url in urls]
     times = [event.datetime for event, _ in entries]
     if any(a > b for a, b in zip(times, times[1:])):
         _complain("events are not ordered by datetime", strict)
@@ -490,7 +500,7 @@ def emit_resource_event(
     links: list[TypedLink] = [
         TypedLink(
             target=entry_uri,
-            rel=RelationType("collection"),
+            rel=COLLECTION,
             attrs=LinkAttributes(media_type="text/html"),
             source=resource_uri,
         )
@@ -606,7 +616,7 @@ class ChangeDumpIndex:
         # the collection backlinks inside the dump characterise entry pages
         self._entry_media: dict[str, str] = {}
         for _, event in self.manifest.entries:
-            for link in event.links.select("collection"):
+            for link in event.links.select(COLLECTION):
                 if link.attrs.media_type:
                     self._entry_media.setdefault(link.target, link.attrs.media_type)
 

@@ -560,7 +560,7 @@ class TestCrossrefWorks:
         captured = capsys.readouterr()
         assert rc == 3
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith(f"error: {not_a_work_api}/works/{DOI}: ")
 
 
 class TestReconcile:
@@ -610,7 +610,8 @@ class TestReconcile:
         captured = capsys.readouterr()
         assert rc == 3
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        # names the document that was no work
+        assert captured.err.startswith(f"error: {not_a_work_api}/works/{DOI}: ")
 
 
 @pytest.fixture

@@ -456,17 +456,23 @@ class TestDumpIngest:
                     data = data[:-1] + bytes([data[-1] ^ 0x01])
                 out.writestr(info.filename, data)
         corrupted = buffer.getvalue()
+        store = IngestStore(tmp_path)
         record = ingest(
             IngestTask(trigger=trigger, mode=IngestMode.DUMP, dump=corrupted),
             None,
-            IngestStore(tmp_path),
+            store,
             POLICY,
         )
         assert not record.completeness.passed
         assert any(
-            uri.endswith(".pdf") and "fixity" in reason
+            uri.endswith(".pdf") and reason == "fixity: digest-mismatch"
             for uri, reason in record.completeness.failures
         )
+        # the bytes that failed fixity are still stored, under their own digest
+        received = zipfile.ZipFile(io.BytesIO(corrupted)).read(pdf_path)
+        (pdf,) = [f for f in record.fetches if f.uri.endswith(".pdf")]
+        assert pdf.sha256 == hashlib.sha256(received).hexdigest()
+        assert store.load_payload(pdf.sha256) == received
 
     def test_resource_missing_from_dump_is_a_failure(self, harvested, bodies, tmp_path):
         task, live, _ = harvested
@@ -904,6 +910,52 @@ class TestStore:
         problems = store.fsck()
         assert len(problems) == 1
         assert "0001.json" in problems[0]
+
+    def test_fsck_flags_a_link_value_no_parser_writes(self, tmp_path):
+        # link attributes are shared through a cache, so a JSON list where
+        # a string belongs is a problem to report, not a crash
+        store = IngestStore(tmp_path)
+        record = _synthetic_record()
+        store.save_record(record)
+        path = store._key_dir(record.key) / "0001.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["object"]["entry_page"]["links"] = {
+            "links": [{"rel": "item", "target": "t", "extra": [["title", ["a"]]]}]
+        }
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert store.fsck() == [
+            "record http%3A%2F%2Fx.example%2Fe/0001.json: unhashable type: 'list'"
+        ]
+
+    def test_fsck_reports_in_sorted_path_order(self, tmp_path):
+        # the problems, in the order of a sorted recursive listing of
+        # payloads/: a stray directory's files come where its name sorts
+        store = IngestStore(tmp_path)
+        store.store_payload(b"alpha")
+        truncated = store.payload_path(store.store_payload(b"truncate me"))
+        truncated.write_bytes(b"trunc")
+        renamed = store.payload_path(store.store_payload(b"renamed away"))
+        renamed.rename(renamed.with_name("51" + "0" * 62))
+        (truncated.parent / "a7-stray").mkdir()
+        (truncated.parent / "a7-stray" / "note").write_bytes(b"stray")
+        (tmp_path / "payloads" / "8e" / "8e-empty").mkdir()
+        (tmp_path / "payloads" / "README").write_bytes(b"top level")
+        store.save_record(_synthetic_record(key="http://x.example/a"))
+        store.save_record(_synthetic_record(key="http://x.example/b"))
+        store.save_record(_synthetic_record(key="http://x.example/b"))
+        (store._key_dir("http://x.example/b") / "0001.json").write_text("{", encoding="utf-8")
+        assert store.fsck() == [
+            "payload 5100000000000000000000000000000000000000000000000000000000000000:"
+            " content digest 5142ef41791b683affdf999a68b76d0980be719a11a5176f9bd21de7dcc118ed",
+            "payload README:"
+            " content digest cfde079781fe5327deed2f9cc4d91c913954e2dec7d17171dfbb958817e3b54e",
+            "payload note:"
+            " content digest e224ddc6b55af8b2a88404a0b6cb2617db0dfc25b3584a4dd7c4358d911e91f5",
+            "payload a7256e504b39e49c35d0df94ee629e9d08fbd682c578b069c03799388b923fc0:"
+            " content digest 9e08e9f870dfbd00ca1746e56440b1aa59ddd7a4d884ef115774c6b89aee5e54",
+            "record http%3A%2F%2Fx.example%2Fb/0001.json:"
+            " Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        ]
 
     def test_unusable_root_raises_store_failure(self, tmp_path):
         blocker = tmp_path / "file"

@@ -16,9 +16,13 @@ from sgp.links import (
     LinkSet,
     MalformedLinkField,
     RelationType,
+    DEFAULT_VOCABULARY,
     TypedLink,
     Vocabulary,
+    link_attributes,
+    link_from_json,
     parse_link_field,
+    relation_type,
     resolve_targets,
     select,
     serialize_link_field,
@@ -300,6 +304,58 @@ class TestSelect:
     def test_unknown_rel_empty(self):
         rng = random.Random(12)
         assert select(random_link_set(rng), "no-such-rel-xyz") == ()
+
+
+class TestSharedValues:
+    def test_token_rels_compare_casefolded(self):
+        for rel in (RelationType("Item"), relation_type("Item"), relation_type("ITEM")):
+            assert rel == ITEM
+            assert hash(rel) == hash(ITEM)
+        assert relation_type("Item").value == "Item"
+
+    def test_extension_rels_compare_exactly(self):
+        assert relation_type("http://rel.example/Next") == RelationType("http://rel.example/Next")
+        assert relation_type("http://rel.example/Next") != relation_type("http://rel.example/next")
+        assert relation_type("http://rel.example/Next").key == "http://rel.example/Next"
+
+    @pytest.mark.parametrize("value", ["", "item next", "item\t", "\nitem", "a\rb"])
+    def test_rel_with_whitespace_or_empty_raises(self, value):
+        with pytest.raises(ValueError):
+            RelationType(value)
+        with pytest.raises(ValueError):
+            relation_type(value)
+
+    def test_equal_values_share_one_instance(self):
+        assert relation_type("x-shared") is relation_type("x-shared")
+        attrs = link_attributes("application/pdf", None, None, (("title", "a"),))
+        assert attrs is link_attributes("application/pdf", None, None, (("title", "a"),))
+        assert attrs == LinkAttributes(media_type="application/pdf", extra=(("title", "a"),))
+        restored = link_from_json(
+            {"rel": "x-shared", "target": "t", "type": "application/pdf", "extra": [["title", "a"]]}
+        )
+        assert restored.attrs is attrs
+
+    def test_shared_attributes_still_check_the_media_type(self):
+        with pytest.raises(ValueError):
+            link_attributes("not a media type", None, None, ())
+
+    def test_vocabulary_folds_aliases_once_and_compares_on_its_tuples(self):
+        voc = Vocabulary(
+            persistent_id_rels=("persistent-id", "Cite-As"), sem_type_params=("sem-type", "semType")
+        )
+        assert voc.canonical_rel_token("CITE-as") == "persistent-id"
+        assert voc.canonical_rel_token("Item") == "Item"
+        assert voc.is_sem_type_param("SEMTYPE")
+        assert not voc.is_sem_type_param("type")
+        assert Vocabulary() == DEFAULT_VOCABULARY
+        assert hash(Vocabulary()) == hash(DEFAULT_VOCABULARY)
+        assert voc != DEFAULT_VOCABULARY
+        assert "folded" not in repr(voc)
+
+    def test_select_by_spelling(self):
+        links = parse_link_field('<a>; rel="Item", <b>; rel="describedby", <c>; rel="ITEM"')
+        assert [link.target for link in select(links, "item")] == ["a", "c"]
+        assert [link.target for link in links.select(ITEM)] == ["a", "c"]
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,7 +2,10 @@
 
 import io
 import random
+import re
+import string
 import zipfile
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -25,7 +28,11 @@ from sgp.links import (
     LinkSet,
     RelationType,
     TypedLink,
+    Vocabulary,
+    link_attributes,
+    link_set_to_json,
     parse_link_field,
+    relation_type,
 )
 from sgp.resources import object_from_links
 from sgp.resourcesync import (
@@ -825,3 +832,192 @@ class TestFixity:
         for algorithm in ("md5", "sha-256"):
             assert verify_fixity(payload, compute_fixity(payload, algorithm)).ok
 
+    @pytest.mark.parametrize("algorithm", ["sha-256", "md5", "crc32"])
+    @pytest.mark.parametrize("digest", ["g" * 64, "", "\u0663", "\u0663" * 64, "ab" * 31 + " a"])
+    def test_non_hex_digests_rejected(self, algorithm, digest):
+        with pytest.raises(ValueError, match="not hex"):
+            FixityInfo(algorithm, digest)
+
+    def test_upper_case_digest_is_folded(self):
+        info = FixityInfo("SHA-256", self.EMPTY_SHA256.upper())
+        assert (info.algorithm, info.digest) == ("sha-256", self.EMPTY_SHA256)
+
+    def test_known_sha256_is_trusted_not_recomputed(self):
+        info = FixityInfo("sha-256", self.EMPTY_SHA256, 0)
+        assert verify_fixity(b"", info, sha256=self.EMPTY_SHA256).ok
+        verdict = verify_fixity(b"", info, sha256="00" * 32)
+        assert (verdict.ok, verdict.reason) == (False, "digest-mismatch")
+        # the length is still checked first
+        verdict = verify_fixity(b"x", info, sha256=self.EMPTY_SHA256)
+        assert verdict.reason == "length-mismatch"
+
+    def test_known_sha256_is_ignored_for_other_algorithms(self):
+        info = compute_fixity(b"alpha", algorithm="md5")
+        assert verify_fixity(b"alpha", info, sha256="00" * 32).ok
+        assert not verify_fixity(b"beta", info, sha256="00" * 32).ok
+
+
+# ----------------------------------------------------- parse parity
+
+# a vocabulary with aliases: parsing rewrites each persistent-id alias to
+# "persistent-id" and reads each sem-type alias as the sem-type attribute
+_VOCABULARY = Vocabulary(
+    persistent_id_rels=("persistent-id", "cite-as", "Identifier"),
+    sem_type_params=("sem-type", "semType", "kind"),
+)
+# unknown attributes, clear of the known ones and of the sem-type aliases;
+# XML attribute names are case-sensitive, so "Type" and "Rel" are unknown
+_EXTRA_NAMES = ["anchor", "hreflang", "title", "x-note", "Type", "Rel"]
+_TEXT = st.text(
+    alphabet=string.ascii_letters + string.digits + " .,:;/()'\"\\=<>?&-_\u00e9\u65e5", max_size=12
+)
+
+
+def _mixed_case(word):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(word, upper))
+    )
+
+
+_RELS = st.one_of(
+    st.sampled_from(
+        ["item", "collection", "describedby", "describes", "type", "persistent-id",
+         "cite-as", "identifier", "ext-note"]
+    ).flatmap(_mixed_case),
+    st.integers(0, 99).map(lambda n: f"http://rel.example/Rel{n}"),
+)
+
+
+@st.composite
+def _links(draw, loc, rels=_RELS):
+    names = draw(st.lists(st.sampled_from(_EXTRA_NAMES), max_size=3, unique=True))
+    attrs = link_attributes(
+        draw(st.none() | st.sampled_from(["application/pdf", "Text/HTML", "application/ld+json"])),
+        draw(st.none() | st.integers(0, 9).map(lambda n: f"http://profile.example/p{n}")),
+        draw(st.none() | st.sampled_from(["info:eu-repo/semantics/article", "Dataset"])),
+        tuple((name, draw(_TEXT)) for name in names),
+    )
+    return TypedLink(
+        target=f"http://host.example/res/{draw(st.integers(0, 999))}",
+        rel=relation_type(draw(rels)),
+        attrs=attrs,
+        source=loc,
+    )
+
+
+def _fixities():
+    return st.builds(
+        lambda payload, algorithm, with_length: compute_fixity(
+            payload, algorithm, with_length=with_length
+        ),
+        st.binary(max_size=16),
+        st.sampled_from(["md5", "sha-256"]),
+        st.booleans(),
+    ).map(lambda f: FixityInfo(f.algorithm.upper(), f.digest.upper(), f.length))
+
+
+@st.composite
+def _events(draw, kinds=tuple(ChangeKind)):
+    loc = f"http://host{draw(st.integers(0, 9))}.example/res/{draw(st.integers(0, 99999))}"
+    kind = draw(st.sampled_from(kinds))
+    when = datetime(2000, 1, 1, tzinfo=UTC) + timedelta(seconds=draw(st.integers(0, 10**9)))
+    if kind is ChangeKind.DELETED:
+        # a deleted event carries no item links
+        not_item = _RELS.filter(lambda rel: rel.casefold() != "item")
+        links = draw(st.lists(_links(loc, rels=not_item), max_size=2))
+        return ChangeEvent(loc=loc, kind=kind, datetime=when, links=LinkSet(tuple(links)))
+    links = draw(st.lists(_links(loc), max_size=4))
+    fixity = draw(st.none() | _fixities())
+    return ChangeEvent(
+        loc=loc, kind=kind, datetime=when, links=LinkSet(tuple(links)), fixity=fixity
+    )
+
+
+def _as_parsed(event):
+    """What parsing ``event``'s XML must give, in a comparable form: alias
+    rels come back in their canonical spelling, links as their JSON."""
+    links = LinkSet(
+        tuple(
+            replace(link, rel=RelationType(_VOCABULARY.canonical_rel_token(link.rel.value)))
+            for link in event.links
+        )
+    )
+    return (event.loc, event.kind, event.datetime, event.fixity, link_set_to_json(links))
+
+
+def _comparable(event):
+    return (event.loc, event.kind, event.datetime, event.fixity, link_set_to_json(event.links))
+
+
+def _upper_hashes(xml):
+    """``xml`` with every hash attribute's value in upper case."""
+    return re.sub(rb'(hash=")([^"]*)', lambda m: m.group(1) + m.group(2).upper(), xml)
+
+
+class TestParseParity:
+    @given(events=st.lists(_events(), max_size=6), bounded=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_change_list_round_trips(self, events, bounded):
+        ordered = sorted(events, key=lambda e: e.datetime)
+        from_time = until_time = None
+        if bounded and ordered:
+            from_time = ordered[0].datetime - timedelta(hours=1)
+            until_time = ordered[-1].datetime + timedelta(hours=1)
+        original = ChangeList(events=tuple(events), from_time=from_time, until_time=until_time)
+        xml = _upper_hashes(emit_change_list(original, vocabulary=_VOCABULARY).encode())
+        parsed = parse_change_list(xml, strict=True, vocabulary=_VOCABULARY)
+        assert [_comparable(e) for e in parsed.events] == [_as_parsed(e) for e in ordered]
+        assert (parsed.from_time, parsed.until_time) == (from_time, until_time)
+
+    @given(
+        entries=st.lists(
+            _events().flatmap(
+                lambda event: st.tuples(
+                    st.just(event),
+                    st.none() if event.kind is ChangeKind.DELETED else st.binary(max_size=32),
+                )
+            ),
+            min_size=1,
+            max_size=5,
+            unique_by=lambda entry: entry[0].loc,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_change_dump_manifest_round_trips(self, entries):
+        blob = _rezip(
+            pack_change_dump(entries, vocabulary=_VOCABULARY),
+            lambda name, data: _upper_hashes(data) if name == "manifest.xml" else data,
+        )
+        expected = []
+        for index, (event, payload) in enumerate(entries):
+            if payload is None:
+                expected.append((None, _as_parsed(event)))
+                continue
+            if event.fixity is None:
+                event = replace(event, fixity=compute_fixity(payload))
+            expected.append((f"resources/{index:04d}.dat", _as_parsed(event)))
+        expected.sort(key=lambda pair: pair[1][2])
+        with ChangeDumpIndex(io.BytesIO(blob), strict=True, vocabulary=_VOCABULARY) as index:
+            got = [(path, _comparable(event)) for path, event in index.manifest.entries]
+        assert got == expected
+
+
+class TestHostileFeedBounds:
+    def test_distinct_rels_and_media_types_keep_the_caches_bounded(self):
+        count = 5000
+        lns = "".join(
+            f'<rs:ln rel="rel-{i}" href="http://x.example/{i}" type="application/x-{i}"/>'
+            for i in range(count)
+        )
+        md = 'change="created" datetime="2016-01-01T00:00:00Z"'
+        feed = parse_change_list(urlset(url("http://x.example/e", md, lns)))
+        links = feed.events[0].links.links
+        assert len(links) == count
+        assert [(l.rel.value, l.attrs.media_type) for l in links[-2:]] == [
+            (f"rel-{count - 2}", f"application/x-{count - 2}"),
+            (f"rel-{count - 1}", f"application/x-{count - 1}"),
+        ]
+        for cache in (relation_type, link_attributes):
+            info = cache.cache_info()
+            assert info.maxsize is not None and info.maxsize < count
+            assert info.currsize <= info.maxsize
