@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from urllib.parse import urlsplit
 
-from .bibliography import CROSSREF_JSON_PROFILE
+from .crossref import CROSSREF_PROFILE
 from .links import LinkSet, MalformedLinkField
 from .navigator import NavigationError, SignpostClient
 from .resources import DEFAULT_POLICY, ResourcePolicy
 from .resourcesync import ChangeEvent, ChangeKind, ChangeListError, parse_change_list
-from .rfc3339 import format_rfc3339, parse_rfc3339, utcnow
+from .rfc3339 import format_rfc3339, utcnow
 
 __all__ = [
     "Verdict",
@@ -48,6 +48,10 @@ RECOMMENDATIONS = {
 
 _REGISTRAR_CHECKS = ("R1", "R2", "R3")
 _PUBLISHER_CHECKS = tuple(f"R{i}" for i in range(4, 13))
+# how many feed events and linked documents each check inspects; R5
+# alone looks at every feed event, since the entry's own event may come
+# anywhere in the feed
+_SAMPLE = 5
 
 
 class EmptyReport(ValueError):
@@ -86,15 +90,6 @@ class CheckResult:
             "evidence": [[uri, text] for uri, text in self.evidence],
             "warnings": list(self.warnings),
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CheckResult":
-        return cls(
-            check_id=data["check"],
-            verdict=Verdict(data["verdict"]),
-            evidence=tuple((u, t) for u, t in data.get("evidence", ())),
-            warnings=tuple(data.get("warnings", ())),
-        )
 
 
 @dataclass(frozen=True)
@@ -147,14 +142,6 @@ class AuditReport:
             "results": [r.to_json_dict() for r in self.results],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AuditReport":
-        return cls(
-            target=data["target"],
-            results=tuple(CheckResult.from_json_dict(r) for r in data["results"]),
-            generated_at=parse_rfc3339(data["generated_at"]),
-        )
-
 
 def render_report(report: AuditReport, fmt: str = "text") -> str:
     if fmt == "json":
@@ -188,9 +175,8 @@ def render_report(report: AuditReport, fmt: str = "text") -> str:
 class _Surface:
     """Cached read-only view of the endpoints under audit."""
 
-    def __init__(self, client: SignpostClient, sample: int | None):
+    def __init__(self, client: SignpostClient):
         self._client = client
-        self._sample = sample
         self._heads: dict[str, LinkSet | None] = {}
         self._trouble: dict[str, str] = {}
 
@@ -223,23 +209,16 @@ class _Surface:
 
 
 class Auditor:
-    """Runs the twelve checks and never writes anything anywhere.
-
-    ``sample`` caps how many feed events and linked documents each check
-    inspects; None removes the cap. R5 alone looks at every feed event,
-    since the entry's own event may come anywhere in the feed.
-    """
+    """Runs the twelve checks and never writes anything anywhere."""
 
     def __init__(
         self,
         *,
         client: SignpostClient | None = None,
         policy: ResourcePolicy = DEFAULT_POLICY,
-        sample: int | None = 5,
     ):
         self._client = client or SignpostClient(strict=True)
         self._policy = policy
-        self._sample = sample
 
     # -- public entry points
 
@@ -250,7 +229,7 @@ class Auditor:
         publisher_feed: str | None = None,
         registrar_feed: str | None = None,
     ) -> AuditReport:
-        surface = _Surface(self._client, self._sample)
+        surface = _Surface(self._client)
         results: list[CheckResult] = []
         if registrar_feed is not None:
             results.extend(self._registrar_checks(surface, registrar_feed, entry_uri))
@@ -266,31 +245,13 @@ class Auditor:
         results.extend(self._publisher_checks(surface, entry_uri, publisher_feed))
         return AuditReport(target=entry_uri, results=tuple(results))
 
-    def audit_registrar(self, feed_uri: str) -> AuditReport:
-        surface = _Surface(self._client, self._sample)
-        return AuditReport(
-            target=feed_uri,
-            results=tuple(self._registrar_checks(surface, feed_uri, None)),
-        )
-
-    def audit_publisher(
-        self, entry_uri: str, feed_uri: str | None = None
-    ) -> AuditReport:
-        surface = _Surface(self._client, self._sample)
-        return AuditReport(
-            target=entry_uri,
-            results=tuple(self._publisher_checks(surface, entry_uri, feed_uri)),
-        )
-
     def _capped(self, events):
-        if events is None or self._sample is None:
-            return events
-        return events[: self._sample]
+        return None if events is None else events[:_SAMPLE]
 
     # -- registrar side
 
     def _registrar_checks(
-        self, surface: _Surface, feed_uri: str, entry_uri: str | None
+        self, surface: _Surface, feed_uri: str, entry_uri: str
     ) -> list[CheckResult]:
         events, problem = surface.feed(feed_uri)
         events = self._capped(events)
@@ -333,7 +294,7 @@ class Auditor:
         candidate = next(
             (e.loc for e in events if self._policy.is_persistent_uri(e.loc)), None
         )
-        if candidate is None and entry_uri is not None:
+        if candidate is None:
             entry_links = surface.links_of(entry_uri)
             if entry_links is not None:
                 candidate = next(
@@ -348,7 +309,7 @@ class Auditor:
             return CheckResult(
                 "R3",
                 Verdict.NOT_APPLICABLE,
-                ((entry_uri or "", "no persistent identifier to resolve"),),
+                ((entry_uri, "no persistent identifier to resolve"),),
             )
         try:
             chain = self._client.resolve_persistent(candidate)
@@ -519,7 +480,7 @@ class Auditor:
                 Verdict.NOT_APPLICABLE,
                 ((entry_uri, "no member resources discoverable"),),
             )
-        sampled = members if self._sample is None else members[: self._sample]
+        sampled = members[:_SAMPLE]
         offenders = []
         for uri in sampled:
             links = surface.links_of(uri)
@@ -588,9 +549,9 @@ class Auditor:
                 ((entry_uri, "entry page links no bibliographic descriptions"),),
             )
         own = [
-            link for link in described if link.attrs.profile != CROSSREF_JSON_PROFILE
+            link for link in described if link.attrs.profile != CROSSREF_PROFILE
         ]
-        sampled = own if self._sample is None else own[: self._sample]
+        sampled = own[:_SAMPLE]
         offenders = []
         for link in sampled:
             links = surface.links_of(link.target)
@@ -628,7 +589,7 @@ class Auditor:
             offenders.append((entry_uri, surface.trouble(entry_uri)))
         elif not entry_links.select("persistent-id"):
             offenders.append((entry_uri, "no persistent-id link"))
-        sampled = members if self._sample is None else members[: self._sample]
+        sampled = members[:_SAMPLE]
         for uri in sampled:
             links = surface.links_of(uri)
             if links is None:

@@ -10,7 +10,7 @@ import unicodedata
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
-from .crossref import CrossRefWork, InvalidDoi, normalize_doi, parse_work
+from .crossref import CROSSREF_PROFILE, CrossRefWork, InvalidDoi, normalize_doi, parse_work
 
 __all__ = [
     "SourceFormat",
@@ -24,7 +24,6 @@ __all__ = [
     "UnknownFormat",
     "BIBTEX_PROFILE",
     "RIS_PROFILE",
-    "CROSSREF_JSON_PROFILE",
     "parse_bibtex",
     "parse_ris",
     "from_crossref",
@@ -36,7 +35,6 @@ __all__ = [
 
 BIBTEX_PROFILE = "http://bibtex.org"
 RIS_PROFILE = "https://en.wikipedia.org/wiki/RIS_(file_format)"
-CROSSREF_JSON_PROFILE = "https://github.com/CrossRef/rest-api-doc"
 
 
 class MalformedEntry(ValueError):
@@ -506,7 +504,7 @@ Parser = Callable[..., BibRecord]
 _BY_PROFILE: dict[str, Parser] = {
     _profile_key(BIBTEX_PROFILE): parse_bibtex,
     _profile_key(RIS_PROFILE): parse_ris,
-    _profile_key(CROSSREF_JSON_PROFILE): parse_crossref_json,
+    _profile_key(CROSSREF_PROFILE): parse_crossref_json,
 }
 
 _BY_MEDIA_TYPE: Mapping[str, Parser] = {

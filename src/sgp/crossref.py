@@ -23,7 +23,6 @@ from .rfc3339 import parse_rfc3339
 
 __all__ = [
     "DEFAULT_API_BASE",
-    "RESOLVER_BASE",
     "CROSSREF_PROFILE",
     "CrossRefWork",
     "WorkList",
@@ -50,7 +49,6 @@ __all__ = [
 ]
 
 DEFAULT_API_BASE = "http://api.crossref.org"
-RESOLVER_BASE = "http://dx.doi.org"
 CROSSREF_PROFILE = "https://github.com/CrossRef/rest-api-doc"
 
 

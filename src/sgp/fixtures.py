@@ -18,8 +18,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterable
 from urllib.parse import urlsplit
 
-from .bibliography import BIBTEX_PROFILE, CROSSREF_JSON_PROFILE, RIS_PROFILE
-from .crossref import parse_work
+from .bibliography import BIBTEX_PROFILE, RIS_PROFILE
+from .crossref import CROSSREF_PROFILE, parse_work
 from .links import (
     COLLECTION,
     DESCRIBEDBY,
@@ -361,7 +361,7 @@ class _ObjectView:
                 target=self.works_uri,
                 rel=DESCRIBEDBY,
                 attrs=LinkAttributes(
-                    media_type="application/json", profile=CROSSREF_JSON_PROFILE
+                    media_type="application/json", profile=CROSSREF_PROFILE
                 ),
                 source=source,
             ),
@@ -405,7 +405,7 @@ class _ObjectView:
                 target=self.works_uri,
                 rel=DESCRIBEDBY,
                 attrs=LinkAttributes(
-                    media_type="application/json", profile=CROSSREF_JSON_PROFILE
+                    media_type="application/json", profile=CROSSREF_PROFILE
                 ),
                 source=self.doi_uri,
             )

@@ -23,11 +23,10 @@ from datetime import datetime
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 from urllib.parse import quote, unquote, urlsplit
 
 from .bibliography import (
-    CROSSREF_JSON_PROFILE,
     BibRecord,
     MalformedEntry,
     ReconciliationReport,
@@ -37,7 +36,7 @@ from .bibliography import (
     parser_for,
     reconcile,
 )
-from .crossref import CrossRefError, InvalidDoi, MalformedJson, normalize_doi
+from .crossref import CROSSREF_PROFILE, CrossRefError, InvalidDoi, MalformedJson, normalize_doi
 from .fixity import (
     FixityInfo,
     FixityVerdict,
@@ -127,24 +126,19 @@ def plan_from_feed(
     *,
     mode: IngestMode = IngestMode.HARVEST,
     filter_tag: str | None = None,
-    predicate: Callable[[ChangeEvent], bool] | None = None,
     dump: ChangeDumpIndex | bytes | None = None,
 ) -> list[IngestTask]:
-    """One task per event passing the filter; Deleted events become
-    tombstone tasks. Order follows the feed."""
-    tasks: list[IngestTask] = []
-    for event in feed.events:
-        if predicate is not None and not predicate(event):
-            continue
-        tasks.append(
-            IngestTask(
-                trigger=event,
-                mode=mode,
-                filter_tag=filter_tag,
-                dump=dump if mode is IngestMode.DUMP else None,
-            )
+    """One task per event; Deleted events become tombstone tasks. Order
+    follows the feed."""
+    return [
+        IngestTask(
+            trigger=event,
+            mode=mode,
+            filter_tag=filter_tag,
+            dump=dump if mode is IngestMode.DUMP else None,
         )
-    return tasks
+        for event in feed.events
+    ]
 
 
 # --------------------------------------------------------- record pieces
@@ -530,7 +524,7 @@ class IngestStore:
                     IngestRecord.from_json_dict(
                         json.loads(path.read_text(encoding="utf-8"))
                     )
-                except (ValueError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
                     problems.append(f"record {directory.name}/{path.name}: {exc}")
         return problems
 
@@ -631,7 +625,7 @@ def _doi_from_identifying(uri: str, policy: ResourcePolicy) -> str | None:
 
 def _registrar_target(obj: ScholarlyObject) -> str | None:
     for bib in obj.bibliographic_resources:
-        if bib.profile == CROSSREF_JSON_PROFILE:
+        if bib.profile == CROSSREF_PROFILE:
             return bib.uri
     return None
 
@@ -919,7 +913,7 @@ def _ingest(
 
     publisher_record: BibRecord | None = None
     for bib in obj.bibliographic_resources:
-        if bib.uri == works_target or bib.profile == CROSSREF_JSON_PROFILE:
+        if bib.uri == works_target or bib.profile == CROSSREF_PROFILE:
             continue
         try:
             parser = parser_for(bib.profile, bib.media_type)

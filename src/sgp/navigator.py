@@ -11,7 +11,6 @@ A ``memoised()`` view answers one task's repeated requests from a memo.
 from __future__ import annotations
 
 import copy
-import hashlib
 import threading
 import time
 from contextlib import contextmanager
@@ -163,12 +162,7 @@ class FetchResult:
     links: LinkSet
     media_type: str | None = None
     body: bytes | None = None
-    sha256: str | None = None
     fetched_at: datetime | None = None
-
-    def __post_init__(self) -> None:
-        if (self.body is None) != (self.sha256 is None):
-            raise ValueError("sha256 must accompany body and only body")
 
 
 @dataclass(frozen=True)
@@ -285,15 +279,13 @@ class SignpostClient:
     ) -> FetchResult:
         content_type = response.headers.get("Content-Type")
         media_type = content_type.split(";")[0].strip() if content_type else None
-        body = response.content if with_body else None
         result = FetchResult(
             uri=uri,
             final_uri=final_uri,
             status=response.status_code,
             links=self._links_from(response, final_uri),
             media_type=media_type,
-            body=body,
-            sha256=hashlib.sha256(body).hexdigest() if body is not None else None,
+            body=response.content if with_body else None,
             fetched_at=utcnow(),
         )
         if result.status >= 400:
@@ -345,32 +337,27 @@ class SignpostClient:
         start: str,
         *,
         policy: ResourcePolicy = DEFAULT_RESOURCE_POLICY,
-        max_collection_hops: int = 1,
-        max_item_depth: int | None = None,
         get_items: bool = False,
     ) -> ScholarlyObject:
         """Boundary closure from any member URI.
 
-        The walk up collection links happens here, over HEAD, so the entry
-        page's media type is known first-hand; the closure then expands
-        item links. Every request goes through a memo (this client's own
-        when it is ``memoised()``, else a fresh one), so each distinct
-        resource is requested once. Items are HEADed unless ``get_items``:
-        then each item is fetched by GET and its links are read from that
-        response, and a memoised caller reads the bodies back with
+        A start with a collection link is taken as a member, and the walk
+        climbs that one link, over HEAD, so the entry page's media type is
+        known first-hand; the closure then expands item links. Every
+        request goes through a memo (this client's own when it is
+        ``memoised()``, else a fresh one), so each distinct resource is
+        requested once. Items are HEADed unless ``get_items``: then each
+        item is fetched by GET and its links are read from that response,
+        and a memoised caller reads the bodies back with
         ``fetch_resource`` at no further request. The start and the entry
         page stay HEAD either way: a landing-page entry is never
         downloaded, so a GET there would only add bytes.
         """
         nav = self.memoised()
         current = nav.head_links(start)
-        hopped = {current.final_uri}
-        for _ in range(max_collection_hops):
-            upward = select(current.links, "collection")
-            if not upward or upward[0].target in hopped:
-                break
+        upward = select(current.links, "collection")
+        if upward and upward[0].target != current.final_uri:
             current = nav.head_links(upward[0].target)
-            hopped.add(current.final_uri)
         item_request = nav.fetch_resource if get_items else nav.head_links
 
         def oracle(uri: str) -> LinkSet:
@@ -382,7 +369,5 @@ class SignpostClient:
             current.final_uri,
             oracle,
             policy=policy,
-            max_collection_hops=0,
-            max_item_depth=max_item_depth,
             entry_media_type=current.media_type,
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping
+from typing import Callable
 from urllib.parse import urlsplit
 
 from .fixity import FixityInfo
@@ -38,7 +38,6 @@ __all__ = [
     "ViolationKind",
     "NoEntryPage",
     "FetchFailure",
-    "classify_role",
     "boundary_closure",
     "object_from_links",
     "classify_pattern",
@@ -61,11 +60,9 @@ _SELF_CONTENT = {SEM_ARTICLE, SEM_DATASET}
 
 
 class ResourceRole(enum.Enum):
-    IDENTIFYING_URI = "identifying-uri"
     ENTRY_PAGE = "entry-page"
     PUBLICATION_RESOURCE = "publication-resource"
     BIBLIOGRAPHIC_RESOURCE = "bibliographic-resource"
-    UNKNOWN = "unknown"
 
 
 class PatternId(enum.Enum):
@@ -206,12 +203,6 @@ class ScholarlyObject:
     def publication_uris(self) -> tuple[str, ...]:
         return tuple(d.uri for d in self.publication_resources)
 
-    def member(self, uri: str) -> ResourceDescriptor | None:
-        for d in self.publication_resources:
-            if d.uri == uri:
-                return d
-        return None
-
     def to_json_dict(self) -> dict:
         d: dict = {
             "entry_page": self.entry_page.to_json_dict(),
@@ -281,33 +272,6 @@ class FetchFailure(RuntimeError):
         super().__init__(f"{uri}: {reason}")
         self.uri = uri
         self.reason = reason
-
-
-def classify_role(
-    uri: str,
-    links: LinkSet,
-    media_type: str | None = None,
-    *,
-    policy: ResourcePolicy = DEFAULT_POLICY,
-) -> ResourceRole:
-    """Role of one resource from its own links. Precedence is fixed:
-    explicit self-type first, then link-shape, then identifier domain."""
-    self_types = {
-        policy.canonical_semantic(link.target) for link in select(links, TYPE)
-    }
-    has_item = bool(select(links, ITEM))
-    has_collection = bool(select(links, COLLECTION))
-    if SEM_START_PAGE in self_types:
-        return ResourceRole.ENTRY_PAGE
-    if self_types & {SEM_ARTICLE, SEM_DATASET, SEM_OBJECT_FILE} and has_collection:
-        return ResourceRole.PUBLICATION_RESOURCE
-    if SEM_METADATA in self_types:
-        return ResourceRole.BIBLIOGRAPHIC_RESOURCE
-    if has_item and not has_collection:
-        return ResourceRole.ENTRY_PAGE
-    if policy.is_persistent_uri(uri):
-        return ResourceRole.IDENTIFYING_URI
-    return ResourceRole.UNKNOWN
 
 
 def pick_identifying_uri(
@@ -393,14 +357,12 @@ def object_from_links(
     entry_uri: str,
     entry_links: LinkSet,
     *,
-    member_links: Mapping[str, LinkSet] | None = None,
     entry_media_type: str | None = None,
     policy: ResourcePolicy = DEFAULT_POLICY,
 ) -> ScholarlyObject:
     """Build an object from a single link set (a feed event payload or a
     one-shot HEAD), without walking the web. Item targets one level deep.
     """
-    member_links = member_links or {}
     entry_desc = _entry_descriptor(entry_uri, entry_links, entry_media_type, policy)
     pubs: list[ResourceDescriptor] = []
     seen: set[str] = {entry_uri}
@@ -410,7 +372,7 @@ def object_from_links(
         if link.target in seen:
             continue
         seen.add(link.target)
-        pubs.append(_item_descriptor(link, member_links.get(link.target)))
+        pubs.append(_item_descriptor(link, None))
     return _finish_object(entry_desc, pubs, entry_links, [], policy)
 
 
@@ -419,14 +381,11 @@ def boundary_closure(
     link_oracle: Callable[[str], LinkSet],
     *,
     policy: ResourcePolicy = DEFAULT_POLICY,
-    max_collection_hops: int = 1,
-    max_item_depth: int | None = None,
     entry_media_type: str | None = None,
 ) -> ScholarlyObject:
-    """Compute the object's boundary starting from any member URI.
+    """Compute the object's boundary from its entry page.
 
-    A non-entry start follows its collection link up first. Item edges
-    are then expanded breadth-first with a visited set, so cycles
+    Item edges are expanded breadth-first with a visited set, so cycles
     terminate and each member is fetched once. Failures on non-entry
     members are recorded on the object, not raised.
     """
@@ -435,35 +394,19 @@ def boundary_closure(
     except Exception as exc:  # noqa: BLE001 - oracle errors become FetchFailure
         raise FetchFailure(entry, str(exc)) from exc
 
-    entry_uri = entry
-    hopped: set[str] = {entry_uri}
-    hops = 0
-    # a collection link marks the start as subordinate; go up before expanding
-    while select(links, COLLECTION) and hops < max_collection_hops:
-        parent = select(links, COLLECTION)[0].target
-        if parent in hopped:
-            break
-        hopped.add(parent)
-        try:
-            links = link_oracle(parent)
-        except Exception as exc:  # noqa: BLE001
-            raise FetchFailure(parent, str(exc)) from exc
-        entry_uri = parent
-        hops += 1
-
     if not select(links, ITEM) and not _entry_is_content(links, policy):
         raise NoEntryPage(entry)
 
-    entry_desc = _entry_descriptor(entry_uri, links, entry_media_type, policy)
+    entry_desc = _entry_descriptor(entry, links, entry_media_type, policy)
     pubs: list[ResourceDescriptor] = []
     failures: list[tuple[str, str]] = []
-    visited: set[str] = {entry_uri}
+    visited: set[str] = {entry}
     if _entry_is_content(links, policy):
         pubs.append(entry_desc)
 
-    queue: list[tuple[TypedLink, int]] = [(l, 1) for l in select(links, ITEM)]
+    queue: list[TypedLink] = list(select(links, ITEM))
     while queue:
-        link, depth = queue.pop(0)
+        link = queue.pop(0)
         if link.target in visited:
             continue
         visited.add(link.target)
@@ -473,8 +416,8 @@ def boundary_closure(
         except Exception as exc:  # noqa: BLE001
             failures.append((link.target, str(exc)))
         pubs.append(_item_descriptor(link, member_set))
-        if member_set is not None and (max_item_depth is None or depth < max_item_depth):
-            queue.extend((child, depth + 1) for child in select(member_set, ITEM))
+        if member_set is not None:
+            queue.extend(select(member_set, ITEM))
 
     return _finish_object(entry_desc, pubs, links, failures, policy)
 

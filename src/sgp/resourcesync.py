@@ -20,13 +20,7 @@ from typing import IO, Iterable, Sequence
 from xml.etree import ElementTree as ET
 
 from .crossref import CROSSREF_PROFILE, CrossRefWork, MissingDoi, metadata_uri_for, normalize_doi
-from .fixity import (  # noqa: F401 - re-exported, feeds carry fixity
-    FixityInfo,
-    FixityVerdict,
-    UnsupportedAlgorithm,
-    compute_fixity,
-    verify_fixity,
-)
+from .fixity import FixityInfo, compute_fixity
 from .links import (
     COLLECTION,
     DESCRIBEDBY,
@@ -38,10 +32,11 @@ from .links import (
     LinkSet,
     TypedLink,
     Vocabulary,
+    _MEDIA_TYPE_RE,
     link_attributes,
     relation_type,
 )
-from .resources import DEFAULT_POLICY, ResourcePolicy, ScholarlyObject, object_from_links
+from .resources import ScholarlyObject
 from .rfc3339 import format_rfc3339, parse_rfc3339
 
 __all__ = [
@@ -66,10 +61,8 @@ __all__ = [
     "emit_registrar_event",
     "emit_publisher_event",
     "emit_resource_event",
-    "object_from_event",
     "pack_change_dump",
     "unpack_change_dump",
-    "verify_dump",
 ]
 
 SITEMAP_NS = "http://www.sitemaps.org/schemas/sitemap/0.9"
@@ -167,27 +160,35 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-_KNOWN_LN_ATTRS = frozenset(("rel", "href", "type", "profile"))
+_KNOWN_LN_ATTRS = frozenset(("rel", "href", "profile"))
 
 
 def _link_from_ln(
-    elem: ET.Element, source: str, vocabulary: Vocabulary
+    elem: ET.Element, source: str, strict: bool, vocabulary: Vocabulary
 ) -> list[TypedLink]:
     attrib = elem.attrib
     rel_value = attrib.get("rel")
     href = attrib.get("href")
     if not rel_value or not href:
         raise MalformedXml("rs:ln needs rel and href attributes")
-    sem_type = None
+    media_type = sem_type = None
     extras = []
     for name, value in attrib.items():
         if name in _KNOWN_LN_ATTRS:
             continue
-        if sem_type is None and vocabulary.is_sem_type_param(name):
+        if name == "type":
+            # as in a Link header: lenient keeps a bad value as an extra
+            if _MEDIA_TYPE_RE.fullmatch(value):
+                media_type = value
+            elif strict:
+                raise MalformedXml(f"{source}: rs:ln type is not a media type: {value!r}")
+            else:
+                extras.append((name, value))
+        elif sem_type is None and vocabulary.is_sem_type_param(name):
             sem_type = value
         else:
             extras.append((name, value))
-    attrs = link_attributes(attrib.get("type"), attrib.get("profile"), sem_type, tuple(extras))
+    attrs = link_attributes(media_type, attrib.get("profile"), sem_type, tuple(extras))
     return [
         TypedLink(
             target=href,
@@ -251,7 +252,7 @@ def _event_from_url(
 
     links: list[TypedLink] = []
     for ln in lns:
-        links.extend(_link_from_ln(ln, loc, vocabulary))
+        links.extend(_link_from_ln(ln, loc, strict, vocabulary))
 
     event = ChangeEvent(
         loc=loc, kind=kind, datetime=when, links=LinkSet(tuple(links)), fixity=fixity
@@ -520,13 +521,6 @@ def emit_resource_event(
     )
 
 
-def object_from_event(
-    event: ChangeEvent, *, policy: ResourcePolicy = DEFAULT_POLICY
-) -> ScholarlyObject:
-    """Rebuild the object boundary a publisher event describes."""
-    return object_from_links(event.loc, event.links, policy=policy)
-
-
 def pack_change_dump(
     entries: Sequence[tuple[ChangeEvent, bytes | None]],
     *,
@@ -683,16 +677,4 @@ def unpack_change_dump(
             path: index.read(path) for path, _ in index.manifest.entries if path is not None
         }
     return index.manifest, payloads
-
-
-def verify_dump(
-    manifest: ChangeDumpManifest, payloads: dict[str, bytes]
-) -> dict[str, FixityVerdict]:
-    """Per-loc fixity verdicts for entries that recorded fixity."""
-    verdicts: dict[str, FixityVerdict] = {}
-    for path, event in manifest.entries:
-        if path is None or event.fixity is None:
-            continue
-        verdicts[event.loc] = verify_fixity(payloads[path], event.fixity)
-    return verdicts
 

@@ -17,6 +17,7 @@ from sgp.auditor import (
 from sgp.fixtures import ABLATION_RECOMMENDATION, degrade, landing_spec, plos_spec, serve
 from sgp.navigator import PolitenessPolicy, SignpostClient
 from sgp.resourcesync import parse_change_list
+from sgp.rfc3339 import format_rfc3339
 
 FAST = PolitenessPolicy(timeout=5, backoff=0.01)
 
@@ -66,7 +67,12 @@ class TestCheckResult:
 
     def test_json_round_trip(self):
         result = _result("R6", Verdict.FAIL, warnings=("item link without sem-type: u",))
-        assert CheckResult.from_json_dict(result.to_json_dict()) == result
+        assert json.loads(json.dumps(result.to_json_dict())) == {
+            "check": "R6",
+            "verdict": "fail",
+            "evidence": [["http://x.example/feed", "fine"]],
+            "warnings": ["item link without sem-type: u"],
+        }
 
 
 class TestAuditReport:
@@ -100,7 +106,10 @@ class TestAuditReport:
         assert [r.check_id for r in rpt.failed] == ["R2"]
 
     def test_json_round_trip(self, report):
-        assert AuditReport.from_json_dict(report.to_json_dict()) == report
+        parsed = json.loads(json.dumps(report.to_json_dict()))
+        assert parsed["target"] == report.target
+        assert parsed["generated_at"] == format_rfc3339(report.generated_at)
+        assert parsed["results"] == [r.to_json_dict() for r in report.results]
 
 
 class TestRendering:
@@ -148,18 +157,22 @@ class TestCompliantEndpoint:
         auditor = Auditor(
             client=SignpostClient(FAST, strict=True), policy=endpoint.policy()
         )
-        rpt = auditor.audit_publisher(endpoint.entry_uri)
-        assert [r.check_id for r in rpt.results] == ALL_IDS[3:]
-        assert rpt.all_passed
+        rpt = auditor.audit(endpoint.entry_uri)
+        publisher = rpt.results[3:]
+        assert [r.check_id for r in publisher] == ALL_IDS[3:]
+        assert all(r.verdict is Verdict.PASS for r in publisher)
+        assert rpt.result_for("R4").evidence[0][0] == endpoint.uri("/changelist.xml")
 
     def test_registrar_only_audit(self, endpoint):
         auditor = Auditor(
             client=SignpostClient(FAST, strict=True), policy=endpoint.policy()
         )
-        rpt = auditor.audit_registrar(endpoint.uri("/registrar/changelist.xml"))
-        assert [r.check_id for r in rpt.results] == ["R1", "R2", "R3"]
-        assert rpt.all_passed
-        assert rpt.target == endpoint.uri("/registrar/changelist.xml")
+        feed_uri = endpoint.uri("/registrar/changelist.xml")
+        rpt = auditor.audit(endpoint.entry_uri, registrar_feed=feed_uri)
+        registrar = rpt.results[:3]
+        assert [r.check_id for r in registrar] == ["R1", "R2", "R3"]
+        assert all(r.verdict is Verdict.PASS for r in registrar)
+        assert rpt.result_for("R1").evidence[0][0] == feed_uri
 
     def test_without_registrar_feed_those_checks_are_skipped(self, endpoint):
         auditor = Auditor(
@@ -185,7 +198,7 @@ class TestCompliantEndpoint:
 
     def test_entry_beyond_the_sample_is_located(self):
         # R5 must find the entry's own event anywhere in the feed, while
-        # every other check still reads only the first `sample` events
+        # every other check still reads only the first five events
         with serve(*distinct_specs(8, patterns=(plos_spec,))) as ep:
             client = SignpostClient(FAST)
             feed = parse_change_list(client.fetch_resource(ep.publisher_feed_uri).body)

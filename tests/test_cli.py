@@ -96,6 +96,24 @@ class TestFeed:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_parse_keeps_a_link_type_that_is_no_media_type(self, tmp_path, capsys):
+        feed = tmp_path / "feed.xml"
+        feed.write_text(
+            '<urlset xmlns="http://www.sitemaps.org/schemas/sitemap/0.9" '
+            'xmlns:rs="http://www.openarchives.org/rs/terms/">'
+            '<rs:md capability="changelist"/><url><loc>http://x.example/1</loc>'
+            '<rs:md change="created" datetime="2016-01-01T00:00:00Z"/>'
+            '<rs:ln rel="item" href="http://x.example/a" type="not a type"/></url></urlset>',
+            encoding="utf-8",
+        )
+        rc = run(["feed", "parse", str(feed)])
+        payload, err = _out_json(capsys)
+        assert rc == 0
+        assert err == ""
+        link = payload["events"][0]["links"][0]
+        assert "type" not in link
+        assert link["extra"] == [["type", "not a type"]]
+
     def test_emit_round_trips_through_parse(self, endpoint, tmp_path, capsys):
         run(["resolve", endpoint.doi_uri])
         objfile = tmp_path / "object.json"

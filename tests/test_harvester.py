@@ -120,20 +120,6 @@ class TestPlanning:
         assert all(t.mode is IngestMode.HARVEST for t in tasks)
         assert [t.tombstone for t in tasks] == [False, False, True]
 
-    def test_predicate_filters_everything_including_tombstones(self):
-        events = (_event("http://h.example/a"), _event("http://h.example/b", ChangeKind.DELETED))
-        assert plan_from_feed(ChangeList(events=events), predicate=lambda e: False) == []
-
-    def test_predicate_keeps_matching_events(self):
-        events = (
-            _event("http://h.example/a"),
-            _event("http://h.example/b", ChangeKind.DELETED),
-        )
-        tasks = plan_from_feed(
-            ChangeList(events=events), predicate=lambda e: e.kind is not ChangeKind.DELETED
-        )
-        assert [t.trigger.loc for t in tasks] == ["http://h.example/a"]
-
     def test_filter_tag_rides_along(self):
         tasks = plan_from_feed(
             ChangeList(events=(_event("http://h.example/a"),)), filter_tag="journals"
@@ -926,6 +912,17 @@ class TestStore:
         assert store.fsck() == [
             "record http%3A%2F%2Fx.example%2Fe/0001.json: unhashable type: 'list'"
         ]
+
+    def test_fsck_flags_a_fixity_algorithm_that_is_no_string(self, tmp_path):
+        store = IngestStore(tmp_path)
+        store.save_record(_synthetic_record(key="k"))
+        path = store._key_dir("k") / "0001.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["object"]["entry_page"]["fixity"] = {"algorithm": 5, "digest": "00"}
+        path.write_text(json.dumps(data), encoding="utf-8")
+        problems = store.fsck()
+        assert len(problems) == 1
+        assert "k/0001.json" in problems[0]
 
     def test_fsck_reports_in_sorted_path_order(self, tmp_path):
         # the problems, in the order of a sorted recursive listing of

@@ -1,6 +1,5 @@
 """Tests for the polite signposting HTTP client."""
 
-import hashlib
 import threading
 import time
 from types import SimpleNamespace
@@ -11,10 +10,9 @@ import requests
 from sgp import navigator
 from sgp.crossref import CrossRefClient
 from sgp.fixtures import degrade, landing_spec, plos_spec, serve, FixtureSpec
-from sgp.links import LinkSet, MalformedLinkField
+from sgp.links import MalformedLinkField
 from sgp.navigator import (
     ConnectionFailure,
-    FetchResult,
     FetchTimeout,
     Hop,
     HostThrottle,
@@ -56,16 +54,6 @@ class TestPolicy:
 
 
 class TestFetchResultInvariants:
-    def test_body_requires_sha256(self):
-        with pytest.raises(ValueError):
-            FetchResult(
-                uri="http://x/a",
-                final_uri="http://x/a",
-                status=200,
-                links=LinkSet(),
-                body=b"data",
-            )
-
     def test_hop_rejects_non_redirect_status(self):
         with pytest.raises(ValueError):
             Hop(uri="http://x/a", status=200, location="http://x/b")
@@ -82,7 +70,6 @@ class TestHeadLinks:
     def test_no_body_on_head(self, endpoint, client):
         result = client.head_links(endpoint.entry_uri)
         assert result.body is None
-        assert result.sha256 is None
         assert result.media_type == "text/html"
         assert result.fetched_at.tzinfo is not None
 
@@ -112,7 +99,7 @@ class TestFetchResource:
         result = client.fetch_resource(endpoint.asset_uris()[0])
         assert result.media_type == "application/pdf"
         assert result.body.startswith(b"%PDF")
-        assert result.sha256 == hashlib.sha256(result.body).hexdigest()
+        assert result.body == endpoint.spec.assets[0].body()
 
     def test_uses_get(self, endpoint, client):
         endpoint.clear_log()
@@ -202,7 +189,6 @@ class TestDiscovery:
         for asset in endpoint.spec.assets:
             result = nav.fetch_resource(endpoint.uri(asset.path))
             assert result.body == asset.body()
-            assert result.sha256 == hashlib.sha256(asset.body()).hexdigest()
         assert endpoint.log() == log
 
     def test_plain_page_has_no_object(self, endpoint, client):

@@ -45,9 +45,13 @@ def test_benchmark_tracer_installs():
     tracer = tracing.Tracer()
     try:
         tracer.install()
+        # (owner, attribute, original) for every name the tracer replaced
+        wrapped = list(tracer._undo)
         assert SignpostClient.head_links is not head_links
         assert cli.run is not run
+        assert all(getattr(owner, attr) is not original for owner, attr, original in wrapped)
     finally:
         tracer.uninstall()
     assert SignpostClient.head_links is head_links
     assert cli.run is run
+    assert all(getattr(owner, attr) is original for owner, attr, original in wrapped)

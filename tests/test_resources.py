@@ -3,34 +3,28 @@ import random
 
 import pytest
 
-from gen import random_link_set
 from sgp.links import (
     ITEM,
     LinkAttributes,
     LinkSet,
     RelationType,
     TypedLink,
-    parse_link_field,
-    resolve_targets,
     select,
 )
 from sgp.resources import (
     DEFAULT_POLICY,
     SEM_ARTICLE,
-    SEM_METADATA,
     SEM_OBJECT_FILE,
     SEM_START_PAGE,
     FetchFailure,
     NoEntryPage,
     PatternId,
     ResourcePolicy,
-    ResourceRole,
     ScholarlyObject,
     Violation,
     ViolationKind,
     boundary_closure,
     classify_pattern,
-    classify_role,
     object_from_links,
     pick_identifying_uri,
     validate_object,
@@ -99,54 +93,6 @@ def plos_table():
     }
 
 
-class TestClassifyRole:
-    def test_pdf_with_collection_is_publication_resource(self, data_dir):
-        field = (data_dir / "pdf_head_link.txt").read_text()
-        links = resolve_targets(parse_link_field(field), PDF)
-        assert classify_role(PDF, links, "application/pdf") == (
-            ResourceRole.PUBLICATION_RESOURCE
-        )
-
-    def test_doi_uri_is_identifying(self):
-        assert classify_role(DOI_URI, LinkSet()) == ResourceRole.IDENTIFYING_URI
-
-    def test_unconfigured_host_unknown(self):
-        assert classify_role("http://nowhere.example/x", LinkSet()) == ResourceRole.UNKNOWN
-
-    def test_human_start_page_beats_everything(self):
-        links = LinkSet((L(SEM_START_PAGE, "type"), L(ENTRY, "collection")))
-        assert classify_role("http://p.example/land", links) == ResourceRole.ENTRY_PAGE
-
-    def test_metadata_role(self):
-        links = LinkSet((L(SEM_METADATA, "type"),))
-        assert classify_role(BIBTEX, links) == ResourceRole.BIBLIOGRAPHIC_RESOURCE
-
-    def test_items_without_collection_is_entry(self):
-        links = LinkSet((L(PDF, "item"),))
-        assert classify_role("http://p.example/e", links) == ResourceRole.ENTRY_PAGE
-
-    def test_purl_variant_equivalent(self):
-        links = LinkSet(
-            (
-                L("http://purl.org/eu-repo/semantics/article", "type"),
-                L(ENTRY, "collection"),
-            )
-        )
-        assert classify_role(PDF, links) == ResourceRole.PUBLICATION_RESOURCE
-
-    def test_unrelated_extension_link_never_changes_role(self):
-        rng = random.Random(21)
-        noise = TypedLink(
-            target="http://noise.example/x",
-            rel=RelationType("http://rel.example/unrelated"),
-        )
-        for _ in range(200):
-            links = random_link_set(rng)
-            uri = "http://host.example/r" if rng.random() < 0.5 else DOI_URI
-            with_noise = LinkSet(links.links + (noise,))
-            assert classify_role(uri, links) == classify_role(uri, with_noise)
-
-
 class TestBoundaryClosure:
     def test_plos_object(self):
         table = plos_table()
@@ -156,15 +102,6 @@ class TestBoundaryClosure:
         assert obj.identifying_uri == DOI_URI
         assert obj.pattern == PatternId.PLOS_STYLE
         assert obj.failures == ()
-
-    def test_start_point_independent(self):
-        table = plos_table()
-        from_entry = boundary_closure(ENTRY, lambda u: table[u])
-        for start in (PDF, XML, SUPP):
-            obj = boundary_closure(start, lambda u: table[u])
-            assert set(obj.publication_uris) == set(from_entry.publication_uris)
-            assert obj.entry_page.uri == ENTRY
-            assert obj.identifying_uri == from_entry.identifying_uri
 
     def test_entry_only_object(self):
         links = LinkSet((L(SEM_ARTICLE, "type"),))

@@ -7,6 +7,7 @@ import string
 import zipfile
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from xml.sax.saxutils import quoteattr
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,7 @@ from sgp.resourcesync import (
     ChangeEvent,
     ChangeKind,
     ChangeList,
+    ChangeListError,
     CorruptArchive,
     FeedViolation,
     FeedWarning,
@@ -53,11 +55,9 @@ from sgp.resourcesync import (
     emit_publisher_event,
     emit_registrar_event,
     emit_resource_event,
-    object_from_event,
     pack_change_dump,
     parse_change_list,
     unpack_change_dump,
-    verify_dump,
 )
 
 from gen import random_change_list, random_dump_entries
@@ -238,6 +238,38 @@ class TestParseEdgeCases:
         )
         with pytest.raises(MalformedXml):
             parse_change_list(doc)
+
+    def test_ln_type_that_is_no_media_type_is_kept_as_an_extra(self):
+        doc = urlset(
+            url(
+                "http://x.example/1",
+                'change="created" datetime="2016-01-01T00:00:00Z"',
+                '<rs:ln rel="item" href="http://x.example/a" type="not a type"/>',
+            )
+        )
+        link = parse_change_list(doc).events[0].links.links[0]
+        assert link.attrs.media_type is None
+        assert link.attrs.extra == (("type", "not a type"),)
+        relayed = parse_change_list(emit_change_list(parse_change_list(doc)))
+        assert relayed.events[0].links.links[0].attrs == link.attrs
+        with pytest.raises(MalformedXml, match="not a media type"):
+            parse_change_list(doc, strict=True)
+
+    @given(value=st.text(alphabet=st.characters(blacklist_categories=("Cs",))))
+    @settings(max_examples=200, deadline=None)
+    def test_any_ln_type_parses_or_is_a_change_list_error(self, value):
+        doc = urlset(
+            url(
+                "http://x.example/1",
+                'change="created" datetime="2016-01-01T00:00:00Z"',
+                f'<rs:ln rel="item" href="http://x.example/a" type={quoteattr(value)}/>',
+            )
+        ).encode("utf-8")
+        for strict in (False, True):
+            try:
+                parse_change_list(doc, strict=strict)
+            except ChangeListError:
+                pass
 
     def test_multi_token_rel_expands(self):
         doc = urlset(
@@ -452,7 +484,7 @@ class TestPublisherEvent:
             plos_object, ChangeKind.UPDATED, datetime(2016, 1, 1, tzinfo=UTC)
         )
         relayed = parse_change_list(emit_change_list(ChangeList(events=(event,))))
-        rebuilt = object_from_event(relayed.events[0])
+        rebuilt = object_from_links(relayed.events[0].loc, relayed.events[0].links)
         assert rebuilt.publication_uris == plos_object.publication_uris
         assert rebuilt.identifying_uri == plos_object.identifying_uri
         assert [b.uri for b in rebuilt.bibliographic_resources] == [
@@ -567,17 +599,15 @@ class TestChangeDump:
         path, event = manifest.entries[0]
         assert event.fixity is not None
         assert event.fixity.algorithm == "sha-256"
-        verdicts = verify_dump(manifest, payloads)
-        assert verdicts["http://x.example/1"].ok
+        assert verify_fixity(payloads[path], event.fixity).ok
 
     def test_tamper_detected(self):
         entries = [(_created("http://x.example/1", datetime(2016, 1, 1, tzinfo=UTC)), b"alpha")]
         manifest, payloads = unpack_change_dump(pack_change_dump(entries))
-        path = manifest.entries[0][0]
+        path, event = manifest.entries[0]
         body = bytearray(payloads[path])
         body[0] ^= 0x01
-        payloads[path] = bytes(body)
-        verdict = verify_dump(manifest, payloads)["http://x.example/1"]
+        verdict = verify_fixity(bytes(body), event.fixity)
         assert not verdict.ok
         assert "digest" in verdict.reason
 
@@ -645,8 +675,8 @@ class TestChangeDump:
         if not entries:
             entries = [(_created("http://x.example/1", datetime(2016, 1, 1, tzinfo=UTC)), b"x")]
         manifest, payloads = unpack_change_dump(pack_change_dump(entries))
-        for verdict in verify_dump(manifest, payloads).values():
-            assert verdict.ok
+        for path, event in manifest.entries:
+            assert verify_fixity(payloads[path], event.fixity).ok
 
 
 def _two_entry_dump(**kwargs):
