@@ -85,7 +85,6 @@ __all__ = [
     "plan_from_feed",
     "ingest",
     "record_tombstone",
-    "check_substance",
     "pack_object_dump",
 ]
 
@@ -569,11 +568,6 @@ def _substance(
     )
     passed = pdfs >= rule.min_pdf_count and htmls >= rule.min_html_count
     return SubstanceReport(passed, True, notes)
-
-
-def check_substance(record: IngestRecord, policy: SubstancePolicy | None) -> SubstanceReport:
-    """Re-evaluate content thresholds for a stored record."""
-    return _substance(record.fetches, record.filter_tag, policy)
 
 
 def _completeness(

@@ -2,9 +2,9 @@
 
 Hand-rolled parser rather than a convenience helper because the rest of
 the toolkit needs things those don't give us: byte offsets in parse
-errors, preservation of duplicate and unknown parameters, expansion of
-multi-token rel values, and a strict/lenient switch (lenient for the
-harvester, strict for the auditor).
+errors, preservation of unknown parameters, expansion of multi-token
+rel values, and a strict/lenient switch (lenient for the harvester,
+strict for the auditor).
 """
 
 from __future__ import annotations
@@ -174,9 +174,10 @@ DEFAULT_VOCABULARY = Vocabulary()
 class LinkAttributes:
     """Attributes attached to a link.
 
-    ``extra`` holds unknown parameters and duplicates of known ones, in
-    document order, as (name, value) pairs; a value of None means the
-    parameter appeared without ``=``.
+    ``extra`` holds unknown parameters, known ones whose value is not
+    valid, and (strict parsing only) repeats of known ones, in document
+    order, as (name, value) pairs; a value of None means the parameter
+    appeared without ``=``.
     """
 
     media_type: str | None = None
@@ -380,7 +381,13 @@ def _assemble(
             kind = "sem"
         else:
             kind = None
-        if kind is None or kind in seen:
+        if kind in seen:
+            # RFC 8288 §3.3 has parsers ignore a repeated rel; lenient
+            # mode ignores any repeated known parameter, strict keeps it
+            if strict:
+                extras.append((name, value))
+            continue
+        if kind is None:
             extras.append((name, value))
             continue
         # first occurrence claims the slot, valid or not

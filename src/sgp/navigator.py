@@ -11,6 +11,7 @@ A ``memoised()`` view answers one task's repeated requests from a memo.
 from __future__ import annotations
 
 import copy
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -186,9 +187,16 @@ class RedirectChain:
 class SignpostClient:
     """HEAD/GET with Link collection and redirect bookkeeping.
 
+    The client's own session reads the network environment once, not
+    on every request: the CA bundle (``REQUESTS_CA_BUNDLE``, else
+    ``CURL_CA_BUNDLE``) when the client is built, and the proxies
+    (``HTTP(S)_PROXY`` with ``NO_PROXY`` applied) once per scheme and
+    host. ``.netrc`` is not read: no request carries credentials.
+
     ``session`` is injectable for tests; it must provide
-    requests.Session semantics. The shared throttle is duck-typed: any
-    object with acquire(host) returning a context manager works.
+    requests.Session semantics, and it keeps its own ``trust_env``. The
+    shared throttle is duck-typed: any object with acquire(host)
+    returning a context manager works.
     """
 
     def __init__(
@@ -201,7 +209,19 @@ class SignpostClient:
         throttle: HostThrottle | None = None,
     ):
         self.policy = policy
-        self._session = session if session is not None else requests.Session()
+        # (scheme, netloc) -> proxies, shared by memoised() views; None
+        # leaves an injected session to read the environment itself
+        self._proxies: dict[tuple[str, str], dict[str, str]] | None = None
+        if session is None:
+            session = requests.Session()
+            session.trust_env = False
+            session.verify = (
+                os.environ.get("REQUESTS_CA_BUNDLE")
+                or os.environ.get("CURL_CA_BUNDLE")
+                or True
+            )
+            self._proxies = {}
+        self._session = session
         self._strict = strict
         self._vocabulary = vocabulary
         self.throttle = throttle if throttle is not None else HostThrottle(policy)
@@ -209,9 +229,21 @@ class SignpostClient:
 
     # -- single request
 
+    def _proxies_for(self, uri: str, scheme: str, host: str) -> dict[str, str] | None:
+        memo = self._proxies
+        if memo is None:
+            return None
+        # threads racing on a new host both look it up and get one answer
+        proxies = memo.get((scheme, host))
+        if proxies is None:
+            proxies = memo[(scheme, host)] = requests.utils.get_environ_proxies(uri)
+        return proxies
+
     def _request(self, method: str, uri: str):
         policy = self.policy
-        host = urlsplit(uri).netloc
+        parts = urlsplit(uri)
+        host = parts.netloc
+        proxies = self._proxies_for(uri, parts.scheme, host)
         last_error: Exception | None = None
         for attempt in range(policy.retries + 1):
             try:
@@ -222,6 +254,7 @@ class SignpostClient:
                         allow_redirects=False,
                         timeout=policy.timeout,
                         headers={"User-Agent": policy.user_agent},
+                        proxies=proxies,
                     )
             except requests.Timeout as exc:
                 last_error = FetchTimeout(f"{method} {uri}: {exc}")

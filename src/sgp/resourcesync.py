@@ -279,6 +279,9 @@ def _parse_urlset(
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
         raise MalformedXml(str(exc)) from exc
+    except UnicodeEncodeError as exc:
+        # text holding a lone surrogate has no UTF-8 form to parse
+        raise MalformedXml(f"not encodable as UTF-8: {exc.reason}") from exc
     if _local(root.tag) != "urlset":
         raise MalformedXml(f"expected urlset, got {_local(root.tag)}")
 
@@ -336,6 +339,24 @@ def parse_change_list(
     )
 
 
+# what a reader of rs:ln takes as the link's own: the attributes read
+# here, and those ResourceSync defines that this module does not read
+_LN_ATTRS = _KNOWN_LN_ATTRS | {"hash", "length", "modified", "path", "pri"}
+
+
+def _forges_ln_attribute(
+    name: str, value: str | None, elem: ET.Element, vocabulary: Vocabulary
+) -> bool:
+    """Whether writing an extra would overwrite an attribute already on
+    ``elem`` or would be read back as one of the link's own."""
+    if name in elem.attrib:
+        return True
+    if name == "type":
+        # a type that is no media type reads back as this same extra
+        return value is not None and _MEDIA_TYPE_RE.fullmatch(value) is not None
+    return name in _LN_ATTRS or vocabulary.is_sem_type_param(name)
+
+
 def _ln_element(link: TypedLink, vocabulary: Vocabulary) -> ET.Element:
     elem = ET.Element(f"{{{RS_NS}}}ln")
     elem.set("rel", link.rel.value)
@@ -348,6 +369,10 @@ def _ln_element(link: TypedLink, vocabulary: Vocabulary) -> ET.Element:
     if a.sem_type is not None:
         elem.set(vocabulary.sem_type_params[0], a.sem_type)
     for name, value in a.extra:
+        if _forges_ln_attribute(name, value, elem, vocabulary):
+            raise FeedViolation(
+                f"{link.target}: extra parameter {name!r} would stand for an rs:ln attribute"
+            )
         elem.set(name, "" if value is None else value)
     return elem
 

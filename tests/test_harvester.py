@@ -30,7 +30,7 @@ from sgp.harvester import (
     SubstanceReport,
     SubstanceRule,
     UnknownKey,
-    check_substance,
+    _substance,
     ingest,
     pack_object_dump,
     plan_from_feed,
@@ -82,7 +82,7 @@ def _event(loc, kind=ChangeKind.CREATED, stamp="2026-01-05T12:00:00Z"):
     return ChangeEvent(loc=loc, kind=kind, datetime=parse_rfc3339(stamp))
 
 
-def _synthetic_record(fetches=(), tag=None, key="http://x.example/e"):
+def _synthetic_record(key="http://x.example/e"):
     obj = ScholarlyObject(
         entry_page=ResourceDescriptor(uri=key, role=ResourceRole.ENTRY_PAGE)
     )
@@ -95,8 +95,6 @@ def _synthetic_record(fetches=(), tag=None, key="http://x.example/e"):
         completeness=CompletenessReport(passed=True),
         bibliography=BibliographyReport(matched=None),
         substance=SubstanceReport(passed=True, configured=False),
-        fetches=tuple(fetches),
-        filter_tag=tag,
     )
 
 
@@ -692,53 +690,48 @@ class TestTombstone:
 
 class TestSubstance:
     def test_unconfigured_policy_passes_with_a_note(self):
-        record = _synthetic_record()
-        report = check_substance(record, None)
+        report = _substance((), None, None)
         assert report.passed and not report.configured
         assert "no substance thresholds" in report.notes[0]
 
     def test_zero_thresholds_pass_vacuously(self):
-        report = check_substance(
-            _synthetic_record(), SubstancePolicy(default=SubstanceRule())
-        )
+        report = _substance((), None, SubstancePolicy(default=SubstanceRule()))
         assert report.passed and report.configured
 
     def test_missing_pdf_fails_the_count(self):
         policy = SubstancePolicy(default=SubstanceRule(min_pdf_count=1))
-        assert not check_substance(_synthetic_record([_html(500)]), policy).passed
-        assert check_substance(_synthetic_record([_pdf(500)]), policy).passed
+        assert not _substance((_html(500),), None, policy).passed
+        assert _substance((_pdf(500),), None, policy).passed
 
     def test_byte_floor_filters_small_files(self):
         policy = SubstancePolicy(
             default=SubstanceRule(min_pdf_count=1, min_pdf_bytes=100_000)
         )
-        assert check_substance(_synthetic_record([_pdf(1_794_628)]), policy).passed
-        assert not check_substance(_synthetic_record([_pdf(99_999)]), policy).passed
+        assert _substance((_pdf(1_794_628),), None, policy).passed
+        assert not _substance((_pdf(99_999),), None, policy).passed
 
     def test_floor_above_every_file_fails(self):
         policy = SubstancePolicy(
             default=SubstanceRule(min_pdf_count=1, min_pdf_bytes=2_000_000)
         )
-        assert not check_substance(_synthetic_record([_pdf(1_794_628)]), policy).passed
+        assert not _substance((_pdf(1_794_628),), None, policy).passed
 
     def test_failed_fetches_do_not_count(self):
         policy = SubstancePolicy(default=SubstanceRule(min_pdf_count=1))
         broken = FetchSummary(uri="http://x.example/a.pdf", status=404)
-        assert not check_substance(_synthetic_record([broken]), policy).passed
+        assert not _substance((broken,), None, policy).passed
 
     def test_tagged_rule_beats_default(self):
         policy = SubstancePolicy(
             rules=(("journals", SubstanceRule(min_pdf_count=2)),),
             default=SubstanceRule(min_pdf_count=0),
         )
-        tagged = _synthetic_record([_pdf(10)], tag="journals")
-        untagged = _synthetic_record([_pdf(10)])
-        assert not check_substance(tagged, policy).passed
-        assert check_substance(untagged, policy).passed
+        assert not _substance((_pdf(10),), "journals", policy).passed
+        assert _substance((_pdf(10),), None, policy).passed
 
     def test_unknown_tag_without_default_is_unconfigured(self):
         policy = SubstancePolicy(rules=(("journals", SubstanceRule(min_pdf_count=1)),))
-        report = check_substance(_synthetic_record(tag="data"), policy)
+        report = _substance((), "data", policy)
         assert report.passed and not report.configured
 
     def test_negative_threshold_is_rejected(self):
@@ -751,7 +744,7 @@ class TestSubstance:
             default=SubstanceRule(min_pdf_count=1, min_pdf_bytes=4096)
         )
         assert record.substance.passed
-        assert not check_substance(record, strict).passed
+        assert not _substance(record.fetches, record.filter_tag, strict).passed
 
     def test_policy_round_trips_through_json(self):
         policy = SubstancePolicy(

@@ -156,10 +156,24 @@ class TestParsing:
 
     def test_duplicate_known_params_demoted(self):
         (link,) = parse_link_field(
-            "<http://a.example/>; rel=item; type=text/html; type=text/plain"
+            "<http://a.example/>; rel=item; type=text/html; type=text/plain", strict=True
         )
         assert link.attrs.media_type == "text/html"
         assert link.attrs.extra == (("type", "text/plain"),)
+
+    def test_duplicate_known_params_dropped_when_lenient(self):
+        (link,) = parse_link_field(
+            "<http://a.example/>; rel=item; type=text/html; type=application/pdf; "
+            'rel=collection; profile="http://p.example/1"; profile="http://p.example/2"; '
+            "sem-type=Dataset; SEM-TYPE=Article; title=t"
+        )
+        assert link.rel == ITEM
+        assert link.attrs == LinkAttributes(
+            media_type="text/html",
+            profile="http://p.example/1",
+            sem_type="Dataset",
+            extra=(("title", "t"),),
+        )
 
     def test_invalid_media_type_demoted_when_lenient(self):
         (link,) = parse_link_field("<http://a.example/>; rel=item; type=nonsense")

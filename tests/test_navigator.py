@@ -1,5 +1,6 @@
 """Tests for the polite signposting HTTP client."""
 
+import http.server
 import threading
 import time
 from types import SimpleNamespace
@@ -375,6 +376,119 @@ class TestTransportErrors:
         with pytest.raises(ConnectionFailure):
             client.head_links("http://example.test/a")
         assert session.calls == 1
+
+
+class _Recording(http.server.BaseHTTPRequestHandler):
+    """Answers 200 to anything and records its request line and
+    Authorization header; as a proxy it sees absolute-form lines."""
+
+    def _answer(self):
+        self.server.seen.append((self.requestline, self.headers.get("Authorization")))
+        self.send_response(200)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    do_GET = do_HEAD = _answer
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def recorder():
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Recording)
+    server.seen = []
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(5)
+    assert not thread.is_alive()
+
+
+_NETWORK_ENVIRONMENT = (
+    "http_proxy", "https_proxy", "all_proxy", "no_proxy",
+    "HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY",
+    "REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE", "NETRC",
+)
+
+
+@pytest.fixture
+def bare_env(monkeypatch):
+    """No proxy, CA bundle or netrc setting in the environment."""
+    for name in _NETWORK_ENVIRONMENT:
+        monkeypatch.delenv(name, raising=False)
+    return monkeypatch
+
+
+class TestNetworkEnvironment:
+    def test_a_proxy_gets_absolute_form_requests(self, recorder, bare_env):
+        bare_env.setenv("http_proxy", f"http://127.0.0.1:{recorder.server_port}")
+        SignpostClient(FAST).head_links("http://journal.example/article/1")
+        assert recorder.seen == [("HEAD http://journal.example/article/1 HTTP/1.1", None)]
+
+    def test_no_proxy_host_goes_direct(self, recorder, bare_env):
+        # the proxy port is closed, so only a direct request succeeds
+        bare_env.setenv("http_proxy", "http://127.0.0.1:9")
+        bare_env.setenv("no_proxy", "127.0.0.1")
+        client = SignpostClient(PolitenessPolicy(timeout=5, retries=0))
+        client.head_links(f"http://127.0.0.1:{recorder.server_port}/direct")
+        assert recorder.seen == [("HEAD /direct HTTP/1.1", None)]
+
+    def test_proxies_are_looked_up_once_per_host(self, recorder, bare_env):
+        looked_up = []
+        lookup = requests.utils.get_environ_proxies
+
+        def counting(uri, *args, **kwargs):
+            looked_up.append(uri)
+            return lookup(uri, *args, **kwargs)
+
+        bare_env.setattr(requests.utils, "get_environ_proxies", counting)
+        base = f"http://127.0.0.1:{recorder.server_port}"
+        client = SignpostClient(FAST)
+        for n in range(3):
+            client.head_links(f"{base}/a{n}")
+        view = client.memoised()
+        view.head_links(f"{base}/b")
+        view.fetch_resource(f"{base}/c")
+        assert len(recorder.seen) == 5
+        assert looked_up == [f"{base}/a0"]
+        view.head_links(f"http://localhost:{recorder.server_port}/d")
+        assert len(looked_up) == 2
+
+    def test_netrc_credentials_are_not_sent(self, recorder, bare_env, tmp_path):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login archivist password secret\n")
+        bare_env.setenv("NETRC", str(netrc))
+        SignpostClient(FAST).fetch_resource(f"http://127.0.0.1:{recorder.server_port}/x")
+        assert recorder.seen == [("GET /x HTTP/1.1", None)]
+
+    @pytest.mark.parametrize("variable", ["REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"])
+    def test_ca_bundle_is_read_when_the_client_is_built(
+        self, recorder, bare_env, tmp_path, variable
+    ):
+        bundle = str(tmp_path / "ca.pem")
+        bare_env.setenv(variable, bundle)
+        client = SignpostClient(FAST)
+        bare_env.delenv(variable)
+        verified = []
+        send = requests.adapters.HTTPAdapter.send
+
+        def recording(adapter, request, **kwargs):
+            verified.append(kwargs["verify"])
+            return send(adapter, request, **kwargs)
+
+        bare_env.setattr(requests.adapters.HTTPAdapter, "send", recording)
+        client.head_links(f"http://127.0.0.1:{recorder.server_port}/x")
+        assert client._session.verify == bundle
+        assert verified == [bundle]
+
+    def test_an_injected_session_keeps_its_own_settings(self, bare_env):
+        session = requests.Session()
+        SignpostClient(FAST, session=session)
+        assert session.trust_env is True
+        assert session.verify is True
 
 
 class TestPoliteness:

@@ -271,6 +271,14 @@ class TestParseEdgeCases:
             except ChangeListError:
                 pass
 
+    def test_text_with_a_lone_surrogate_is_a_change_list_error(self):
+        doc = urlset(
+            url("http://x.example/\ud800", 'change="created" datetime="2016-01-01T00:00:00Z"')
+        )
+        for strict in (False, True):
+            with pytest.raises(ChangeListError):
+                parse_change_list(doc, strict=strict)
+
     def test_multi_token_rel_expands(self):
         doc = urlset(
             url(
@@ -363,6 +371,21 @@ class TestEmit:
             links=links,
         )
         with pytest.raises(FeedViolation):
+            emit_change_list(ChangeList(events=(event,)))
+
+    def test_emit_refuses_an_extra_that_would_retarget_the_link(self):
+        links = parse_link_field(
+            "<http://x.example/a>; rel=item; type=text/html; type=application/pdf; "
+            'href="http://evil.example/"'
+        )
+        assert links.links[0].attrs.extra == (("href", "http://evil.example/"),)
+        event = ChangeEvent(
+            loc="http://x.example/1",
+            kind=ChangeKind.CREATED,
+            datetime=datetime(2016, 1, 1, tzinfo=UTC),
+            links=links,
+        )
+        with pytest.raises(FeedViolation, match="'href'"):
             emit_change_list(ChangeList(events=(event,)))
 
     def test_emit_refuses_inverted_interval(self):
@@ -898,6 +921,11 @@ _VOCABULARY = Vocabulary(
 # unknown attributes, clear of the known ones and of the sem-type aliases;
 # XML attribute names are case-sensitive, so "Type" and "Rel" are unknown
 _EXTRA_NAMES = ["anchor", "hreflang", "title", "x-note", "Type", "Rel"]
+# names a reader of rs:ln takes as the link's own, sem-type aliases included
+_LN_NAMES = [
+    "rel", "href", "type", "profile", "hash", "length", "modified", "path", "pri",
+    "sem-type", "semType", "kind",
+]
 _TEXT = st.text(
     alphabet=string.ascii_letters + string.digits + " .,:;/()'\"\\=<>?&-_\u00e9\u65e5", max_size=12
 )
@@ -919,8 +947,8 @@ _RELS = st.one_of(
 
 
 @st.composite
-def _links(draw, loc, rels=_RELS):
-    names = draw(st.lists(st.sampled_from(_EXTRA_NAMES), max_size=3, unique=True))
+def _links(draw, loc, rels=_RELS, extra_names=_EXTRA_NAMES):
+    names = draw(st.lists(st.sampled_from(extra_names), max_size=3, unique=True))
     attrs = link_attributes(
         draw(st.none() | st.sampled_from(["application/pdf", "Text/HTML", "application/ld+json"])),
         draw(st.none() | st.integers(0, 9).map(lambda n: f"http://profile.example/p{n}")),
@@ -947,16 +975,16 @@ def _fixities():
 
 
 @st.composite
-def _events(draw, kinds=tuple(ChangeKind)):
+def _events(draw, kinds=tuple(ChangeKind), extra_names=_EXTRA_NAMES):
     loc = f"http://host{draw(st.integers(0, 9))}.example/res/{draw(st.integers(0, 99999))}"
     kind = draw(st.sampled_from(kinds))
     when = datetime(2000, 1, 1, tzinfo=UTC) + timedelta(seconds=draw(st.integers(0, 10**9)))
     if kind is ChangeKind.DELETED:
         # a deleted event carries no item links
         not_item = _RELS.filter(lambda rel: rel.casefold() != "item")
-        links = draw(st.lists(_links(loc, rels=not_item), max_size=2))
+        links = draw(st.lists(_links(loc, not_item, extra_names), max_size=2))
         return ChangeEvent(loc=loc, kind=kind, datetime=when, links=LinkSet(tuple(links)))
-    links = draw(st.lists(_links(loc), max_size=4))
+    links = draw(st.lists(_links(loc, extra_names=extra_names), max_size=4))
     fixity = draw(st.none() | _fixities())
     return ChangeEvent(
         loc=loc, kind=kind, datetime=when, links=LinkSet(tuple(links)), fixity=fixity
@@ -998,6 +1026,21 @@ class TestParseParity:
         parsed = parse_change_list(xml, strict=True, vocabulary=_VOCABULARY)
         assert [_comparable(e) for e in parsed.events] == [_as_parsed(e) for e in ordered]
         assert (parsed.from_time, parsed.until_time) == (from_time, until_time)
+
+    @given(events=st.lists(_events(extra_names=_EXTRA_NAMES + _LN_NAMES), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_an_extra_never_changes_a_relayed_link(self, events):
+        """An extra named like an rs:ln attribute is refused, or it comes
+        back as itself."""
+        try:
+            xml = emit_change_list(ChangeList(events=tuple(events)), vocabulary=_VOCABULARY)
+        except FeedViolation:
+            extras = {name for e in events for link in e.links for name, _ in link.attrs.extra}
+            assert extras & set(_LN_NAMES)
+            return
+        parsed = parse_change_list(_upper_hashes(xml.encode()), vocabulary=_VOCABULARY)
+        ordered = sorted(events, key=lambda e: e.datetime)
+        assert [_comparable(e) for e in parsed.events] == [_as_parsed(e) for e in ordered]
 
     @given(
         entries=st.lists(
