@@ -173,25 +173,25 @@ def render_report(report: AuditReport, fmt: str = "text") -> str:
 
 
 class _Surface:
-    """Cached read-only view of the endpoints under audit."""
+    """Read-only view of the endpoints under audit, through one audit's
+    memoised client, which keeps what succeeded; a URI whose HEAD failed
+    is noted here and not requested again."""
 
     def __init__(self, client: SignpostClient):
-        self._client = client
-        self._heads: dict[str, LinkSet | None] = {}
+        self.client = client
         self._trouble: dict[str, str] = {}
 
     def links_of(self, uri: str) -> LinkSet | None:
         """Links observed on the resource, None when they cannot be read."""
-        if uri not in self._heads:
-            try:
-                self._heads[uri] = self._client.head_links(uri).links
-            except MalformedLinkField:
-                self._heads[uri] = None
-                self._trouble[uri] = "Link header unreadable"
-            except NavigationError as exc:
-                self._heads[uri] = None
-                self._trouble[uri] = str(exc)
-        return self._heads[uri]
+        if uri in self._trouble:
+            return None
+        try:
+            return self.client.head_links(uri).links
+        except MalformedLinkField:
+            self._trouble[uri] = "Link header unreadable"
+        except NavigationError as exc:
+            self._trouble[uri] = str(exc)
+        return None
 
     def trouble(self, uri: str) -> str:
         return self._trouble.get(uri, "no links observed")
@@ -200,10 +200,12 @@ class _Surface:
         """(events, problem): events is None when the feed cannot be read,
         every parsed event otherwise; checks apply the sample cap."""
         try:
-            body = self._client.fetch_resource(uri).body
+            body = self.client.fetch_resource(uri).body
             return parse_change_list(body).events, None
         except NavigationError as exc:
             return None, f"feed unavailable: {exc}"
+        except MalformedLinkField as exc:
+            return None, f"feed unreadable: Link header unreadable: {exc}"
         except ChangeListError as exc:
             return None, f"feed unreadable: {exc}"
 
@@ -229,7 +231,8 @@ class Auditor:
         publisher_feed: str | None = None,
         registrar_feed: str | None = None,
     ) -> AuditReport:
-        surface = _Surface(self._client)
+        # one memo for the whole audit; a second audit starts afresh
+        surface = _Surface(self._client.memoised())
         results: list[CheckResult] = []
         if registrar_feed is not None:
             results.extend(self._registrar_checks(surface, registrar_feed, entry_uri))
@@ -312,7 +315,7 @@ class Auditor:
                 ((entry_uri, "no persistent identifier to resolve"),),
             )
         try:
-            chain = self._client.resolve_persistent(candidate)
+            chain = surface.client.resolve_persistent(candidate)
         except (NavigationError, MalformedLinkField) as exc:
             return CheckResult(
                 "R3", Verdict.FAIL, ((candidate, f"resolution failed: {exc}"),)

@@ -395,6 +395,8 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
 def _answers(client: SignpostClient, uri: str) -> bool:
     try:
         client.fetch_resource(uri)
+    except MalformedLinkField:
+        return True  # it answers; the audit reports the header
     except NavigationError:
         return False
     return True
@@ -402,7 +404,8 @@ def _answers(client: SignpostClient, uri: str) -> bool:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    client = SignpostClient(strict=True)
+    # the probe's GET answers the audit's own read of that feed
+    client = SignpostClient(strict=True).memoised()
     policy = _derived_policy(args.entry, args.persistent_prefix)
     registrar_feed = args.registrar_feed
     if registrar_feed is None:

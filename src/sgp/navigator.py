@@ -15,7 +15,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 from urllib.parse import urljoin, urlsplit
 
@@ -286,27 +286,6 @@ class SignpostClient:
 
     # -- redirect walk
 
-    def _walk(self, method: str, uri: str):
-        current = uri
-        hops: list[Hop] = []
-        for _ in range(self.policy.max_redirects + 1):
-            response = self._request(method, current)
-            location = response.headers.get("Location")
-            if response.status_code in _REDIRECT_STATUSES and location is not None:
-                target = urljoin(current, location)
-                hops.append(
-                    Hop(
-                        uri=current,
-                        status=response.status_code,
-                        location=target,
-                        links=self._links_from(response, current),
-                    )
-                )
-                current = target
-                continue
-            return hops, response, current
-        raise TooManyRedirects(f"{uri}: more than {self.policy.max_redirects} redirects")
-
     def _terminal(
         self, uri: str, final_uri: str, response, *, with_body: bool
     ) -> FetchResult:
@@ -326,18 +305,47 @@ class SignpostClient:
         return result
 
     def _fetch(self, method: str, uri: str) -> tuple[tuple[Hop, ...], FetchResult]:
-        """The one request path: walk, then the terminal response,
-        answered from the open memo when it holds ``(method, uri)``."""
+        """The one request path: the redirect walk from ``uri`` to its
+        terminal response. With a memo open, each hop is looked up before
+        it is requested, and a known one ends the walk with the memo's
+        hops and result; a finished walk is kept under every hop and its
+        final URI. The result names ``uri`` as the URI asked for."""
         memo = self._memo
-        if memo is not None and (method, uri) in memo:
-            return memo[(method, uri)]
-        hops, response, final_uri = self._walk(method, uri)
-        result = self._terminal(uri, final_uri, response, with_body=method == "GET")
-        answer = (tuple(hops), result)
+        max_redirects = self.policy.max_redirects
+        current = uri
+        hops: list[Hop] = []
+        while len(hops) <= max_redirects:
+            known = memo.get((method, current)) if memo is not None else None
+            if known is not None:
+                hops.extend(known[0])
+                result = known[1]
+                break
+            response = self._request(method, current)
+            location = response.headers.get("Location")
+            if response.status_code in _REDIRECT_STATUSES and location is not None:
+                target = urljoin(current, location)
+                hops.append(
+                    Hop(
+                        uri=current,
+                        status=response.status_code,
+                        location=target,
+                        links=self._links_from(response, current),
+                    )
+                )
+                current = target
+                continue
+            result = self._terminal(uri, current, response, with_body=method == "GET")
+            break
+        if len(hops) > max_redirects:
+            raise TooManyRedirects(f"{uri}: more than {max_redirects} redirects")
+        chain = tuple(hops)
         if memo is not None:
-            memo[(method, uri)] = answer
-            memo.setdefault((method, final_uri), ((), result))
-        return answer
+            for index, hop in enumerate(chain):
+                memo.setdefault((method, hop.uri), (chain[index:], result))
+            memo.setdefault((method, result.final_uri), ((), result))
+        if result.uri != uri:
+            result = replace(result, uri=uri)
+        return chain, result
 
     # -- public operations
 
@@ -345,9 +353,12 @@ class SignpostClient:
         """This client with a fresh response memo, for one task.
 
         The view shares session, policy, throttle, strictness and
-        vocabulary. Successful responses are kept under (method, uri) and
-        their final URI; errors are not, and a GET never answers a HEAD.
-        A client whose memo is already open returns itself.
+        vocabulary. Successful responses are kept under (method, uri), the
+        URI of every redirect hop on the way and the final URI; errors are
+        not, and a GET never answers a HEAD. A redirect walk consults the
+        memo at every hop, so a walk that reaches a known hop ends there
+        and the chain is completed from the memo. A client whose memo is
+        already open returns itself.
         """
         if self._memo is not None:
             return self

@@ -1,15 +1,21 @@
 """RFC 3339 timestamp helpers.
 
 Python 3.10's ``fromisoformat`` rejects the trailing ``Z`` that web feeds
-use everywhere, so we normalise it ourselves. All timestamps in this
-package are timezone-aware UTC at whole-second precision.
+use everywhere, and any fraction of a second other than 3 or 6 digits, so
+we normalise both ourselves. All timestamps in this package are
+timezone-aware UTC at whole-second precision.
 """
 
 from __future__ import annotations
 
+import re
 from datetime import datetime, timezone
 
 __all__ = ["parse_rfc3339", "format_rfc3339", "utcnow"]
+
+# a fraction of the seconds, and only there: anything else is left for
+# fromisoformat to reject
+_FRACTION = re.compile(r"(?<=[0-9]{2}:[0-9]{2}:[0-9]{2})\.[0-9]+(?=[Zz+-]|\Z)")
 
 
 def parse_rfc3339(text: str) -> datetime:
@@ -19,6 +25,8 @@ def parse_rfc3339(text: str) -> datetime:
     UTC. Sub-second digits are dropped. Raises ValueError on garbage.
     """
     raw = text.strip()
+    if "." in raw:
+        raw = _FRACTION.sub("", raw, count=1)
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
     dt = datetime.fromisoformat(raw)

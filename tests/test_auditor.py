@@ -210,7 +210,28 @@ class TestCompliantEndpoint:
                 counts.append(len(ep.log()))
                 assert rpt.result_for("R5").verdict is Verdict.PASS, entry_uri
                 assert rpt.all_passed, (entry_uri, [r.check_id for r in rpt.failed])
-        assert counts[0] == counts[1]
+        # R3's resolution ends on the first entry page, whose own HEAD the
+        # audit's memo then answers; beyond that one request the counts
+        # do not depend on where the entry's event sits in the feed
+        assert counts[1] == counts[0] + 1
+
+    def test_each_audit_makes_its_own_requests(self, endpoint):
+        auditor = Auditor(
+            client=SignpostClient(FAST, strict=True), policy=endpoint.policy()
+        )
+        logs = []
+        for _ in range(2):
+            endpoint.clear_log()
+            auditor.audit(
+                endpoint.entry_uri,
+                publisher_feed=endpoint.uri("/changelist.xml"),
+                registrar_feed=endpoint.uri("/registrar/changelist.xml"),
+            )
+            logs.append([(e.method, e.path) for e in endpoint.log()])
+        assert logs[0] == logs[1]
+        # R3's walk ends on the entry page, which the surface then reads
+        # from the audit's memo
+        assert len(logs[0]) == len(set(logs[0])) == 10
 
     def test_audit_is_read_only(self, endpoint):
         endpoint.clear_log()

@@ -16,7 +16,14 @@ from gen import distinct_specs
 from sgp import cli, resourcesync
 from sgp.cli import run
 from sgp.fixity import FixityInfo
-from sgp.fixtures import FixtureSpec, degrade, landing_spec, plos_spec, serve
+from sgp.fixtures import (
+    ABLATION_RECOMMENDATION,
+    FixtureSpec,
+    degrade,
+    landing_spec,
+    plos_spec,
+    serve,
+)
 from sgp.harvester import pack_object_dump
 from sgp.navigator import HostThrottle, SignpostClient
 from sgp.resourcesync import (
@@ -497,6 +504,75 @@ class TestAudit:
         )
         assert rc == 0
         assert "12/12" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("pattern", [plos_spec, landing_spec], ids=["plos", "landing"])
+    @pytest.mark.parametrize("feature", [None, *sorted(ABLATION_RECOMMENDATION)])
+    def test_an_audit_requests_each_resource_once(self, pattern, feature, capsys):
+        spec = pattern() if feature is None else degrade(pattern(), feature)
+        with serve(spec) as ep:
+            rc = run(["audit", "--entry", ep.entry_uri, "--format", "json"])
+            requested = [(e.method, e.path) for e in ep.log()]
+        payload, _ = _out_json(capsys)
+        assert rc == (0 if feature is None else 1)
+        assert len(payload["results"]) == 12
+        assert len(requested) == len(set(requested)), requested
+        # the probe for the conventional registrar feed is also the audit's read
+        assert requested.count(("GET", "/registrar/changelist.xml")) == 1
+
+    def test_a_feed_with_an_unreadable_link_header_is_reported(
+        self, broken_feed_links, capsys
+    ):
+        rc = run(["audit", "--entry", broken_feed_links + "/entry", "--format", "json"])
+        payload, _ = _out_json(capsys)
+        assert rc == 1
+        results = {result["check"]: result for result in payload["results"]}
+        assert len(results) == 12
+        for check in ("R1", "R4"):
+            assert results[check]["verdict"] == "fail"
+            ((uri, text),) = results[check]["evidence"]
+            assert uri.startswith(broken_feed_links)
+            assert text.startswith("feed unreadable: Link header unreadable: missing '>'")
+
+
+@pytest.fixture
+def broken_feed_links(endpoint):
+    """A host whose two change lists answer 200 with the fixture's feed
+    bodies and a Link header that does not parse; every other path is a
+    page without links. Yields its base URI."""
+    client = SignpostClient()
+    bodies = {
+        path: client.fetch_resource(endpoint.uri(path)).body
+        for path in ("/changelist.xml", "/registrar/changelist.xml")
+    }
+
+    class Handler(BaseHTTPRequestHandler):
+        def _answer(self, with_body):
+            body = bodies.get(self.path, b"<html><body>entry</body></html>")
+            self.send_response(200)
+            if self.path in bodies:
+                self.send_header("Content-Type", "application/xml")
+                self.send_header("Link", '<broken; rel="x"')
+            else:
+                self.send_header("Content-Type", "text/html")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            if with_body:
+                self.wfile.write(body)
+
+        def do_GET(self):
+            self._answer(True)
+
+        def do_HEAD(self):
+            self._answer(False)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
 
 
 def _envelope(message: dict) -> bytes:

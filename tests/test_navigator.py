@@ -3,7 +3,9 @@
 import http.server
 import threading
 import time
+from dataclasses import replace
 from types import SimpleNamespace
+from urllib.parse import urlsplit
 
 import pytest
 import requests
@@ -262,9 +264,37 @@ class TestMemo:
         assert again.hops == first.hops
         assert [h.status for h in again.hops] == [303, 302]
         final = nav.head_links(first.terminal.final_uri)
-        assert final.final_uri == endpoint.entry_uri
+        assert final.uri == final.final_uri == endpoint.entry_uri
         assert final.links == first.terminal.links
         assert len(endpoint.log()) == requests_made == 3
+
+    def test_a_walk_ends_at_a_hop_the_memo_holds(self, endpoint, client):
+        plain = client.resolve_persistent(endpoint.doi_uri)
+        nav = client.memoised()
+        second = nav.resolve_persistent(plain.hops[1].uri)
+        assert second.hops == plain.hops[1:]
+        endpoint.clear_log()
+        chain = nav.resolve_persistent(endpoint.doi_uri)
+        assert [(e.method, e.path) for e in endpoint.log()] == [
+            ("HEAD", urlsplit(endpoint.doi_uri).path)
+        ]
+        assert chain.hops == plain.hops
+        assert replace(chain.terminal, fetched_at=None) == replace(
+            plain.terminal, fetched_at=None
+        )
+        # the finished walk is kept under its first hop too
+        assert nav.resolve_persistent(endpoint.doi_uri) == chain
+        assert len(endpoint.log()) == 1
+
+    def test_hops_from_the_memo_count_towards_the_redirect_limit(self, endpoint):
+        client = SignpostClient(PolitenessPolicy(timeout=5, max_redirects=1))
+        with pytest.raises(TooManyRedirects):
+            client.resolve_persistent(endpoint.doi_uri)
+        nav = client.memoised()
+        locate = nav.resolve_persistent(endpoint.doi_uri.replace("/doi/", "/locate/"))
+        assert len(locate.hops) == 1
+        with pytest.raises(TooManyRedirects):
+            nav.resolve_persistent(endpoint.doi_uri)
 
 
 class _Response:
