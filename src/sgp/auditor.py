@@ -12,6 +12,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from datetime import datetime
+from typing import Sequence
 from urllib.parse import urlsplit
 
 from .crossref import CROSSREF_PROFILE
@@ -174,12 +175,19 @@ def render_report(report: AuditReport, fmt: str = "text") -> str:
 
 class _Surface:
     """Read-only view of the endpoints under audit, through one audit's
-    memoised client, which keeps what succeeded; a URI whose HEAD failed
-    is noted here and not requested again."""
+    memoised client, which keeps what succeeded. A URI whose HEAD failed,
+    and a feed whose probe found its Link header unreadable, are noted
+    here and not requested again."""
 
     def __init__(self, client: SignpostClient):
         self.client = client
         self._trouble: dict[str, str] = {}
+        self._feed_trouble: dict[str, str] = {}
+
+    def note(self, uri: str, exc: NavigationError | MalformedLinkField) -> None:
+        """Record why ``uri`` could not be read; ``links_of`` will not ask."""
+        unreadable = isinstance(exc, MalformedLinkField)
+        self._trouble[uri] = "Link header unreadable" if unreadable else str(exc)
 
     def links_of(self, uri: str) -> LinkSet | None:
         """Links observed on the resource, None when they cannot be read."""
@@ -187,18 +195,30 @@ class _Surface:
             return None
         try:
             return self.client.head_links(uri).links
-        except MalformedLinkField:
-            self._trouble[uri] = "Link header unreadable"
-        except NavigationError as exc:
-            self._trouble[uri] = str(exc)
+        except (NavigationError, MalformedLinkField) as exc:
+            self.note(uri, exc)
         return None
 
     def trouble(self, uri: str) -> str:
         return self._trouble.get(uri, "no links observed")
 
+    def answers(self, uri: str) -> bool:
+        """Whether a feed location answers a GET at all. A feed whose Link
+        header does not parse answers; ``feed`` reports it without a
+        second GET."""
+        try:
+            self.client.fetch_resource(uri)
+        except MalformedLinkField as exc:
+            self._feed_trouble[uri] = f"feed unreadable: Link header unreadable: {exc}"
+        except NavigationError:
+            return False
+        return True
+
     def feed(self, uri: str) -> tuple[tuple[ChangeEvent, ...] | None, str | None]:
         """(events, problem): events is None when the feed cannot be read,
         every parsed event otherwise; checks apply the sample cap."""
+        if uri in self._feed_trouble:
+            return None, self._feed_trouble[uri]
         try:
             body = self.client.fetch_resource(uri).body
             return parse_change_list(body).events, None
@@ -230,9 +250,18 @@ class Auditor:
         *,
         publisher_feed: str | None = None,
         registrar_feed: str | None = None,
+        registrar_candidates: Sequence[str] = (),
     ) -> AuditReport:
+        """Run the twelve checks. Without a ``registrar_feed``, the first
+        of ``registrar_candidates`` that answers is audited as one, and
+        that probe's GET is also its read; when none answers, R1 to R3
+        are not applicable."""
         # one memo for the whole audit; a second audit starts afresh
         surface = _Surface(self._client.memoised())
+        if registrar_feed is None:
+            registrar_feed = next(
+                (uri for uri in registrar_candidates if surface.answers(uri)), None
+            )
         results: list[CheckResult] = []
         if registrar_feed is not None:
             results.extend(self._registrar_checks(surface, registrar_feed, entry_uri))
@@ -317,6 +346,9 @@ class Auditor:
         try:
             chain = surface.client.resolve_persistent(candidate)
         except (NavigationError, MalformedLinkField) as exc:
+            if exc.uri is not None:
+                # where the walk stopped, typically the entry page
+                surface.note(exc.uri, exc)
             return CheckResult(
                 "R3", Verdict.FAIL, ((candidate, f"resolution failed: {exc}"),)
             )

@@ -392,37 +392,23 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
     return EXIT_VERIFICATION if bad else EXIT_OK
 
 
-def _answers(client: SignpostClient, uri: str) -> bool:
-    try:
-        client.fetch_resource(uri)
-    except MalformedLinkField:
-        return True  # it answers; the audit reports the header
-    except NavigationError:
-        return False
-    return True
-
-
 def _cmd_audit(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    # the probe's GET answers the audit's own read of that feed
-    client = SignpostClient(strict=True).memoised()
     policy = _derived_policy(args.entry, args.persistent_prefix)
-    registrar_feed = args.registrar_feed
-    if registrar_feed is None:
-        # a stated feed is audited as given; the conventional locations
-        # are only adopted when they answer, else the registrar side is
-        # scored not-applicable
+    # a stated feed is audited as given; the conventional locations are
+    # only adopted when they answer, else the registrar side is scored
+    # not-applicable
+    candidates = []
+    if args.registrar_feed is None:
         explicit_api = _pick(args.api_base, "SGP_API_BASE", config, "api_base", None)
-        candidates = []
         if explicit_api:
             candidates.append(explicit_api.rstrip("/") + _REGISTRAR_FEED_PATH)
         candidates.append(_origin(args.entry) + _REGISTRAR_FEED_PATH)
-        registrar_feed = next((c for c in candidates if _answers(client, c)), None)
-    auditor = Auditor(client=client, policy=policy)
-    report = auditor.audit(
+    report = Auditor(policy=policy).audit(
         args.entry,
         publisher_feed=args.publisher_feed,
-        registrar_feed=registrar_feed,
+        registrar_feed=args.registrar_feed,
+        registrar_candidates=candidates,
     )
     print(render_report(report, fmt=args.format))
     return EXIT_OK if report.all_passed else EXIT_VERIFICATION

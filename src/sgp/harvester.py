@@ -53,6 +53,7 @@ from .resources import (
     ResourcePolicy,
     ResourceRole,
     ScholarlyObject,
+    entry_is_content,
     object_from_links,
     validate_object,
 )
@@ -707,15 +708,24 @@ class _Got(NamedTuple):
 
 class _LiveSource:
     """Bytes over HTTP through a navigator memoised for this one task:
-    discovery GETs each item, and the fetch stage's GETs of the same
-    URIs are answered from the memo, so every member is downloaded once."""
+    discovery GETs each item, and the start too when the event types it
+    as content, and the fetch stage's GETs of the same URIs are answered
+    from the memo, so every member is requested once."""
 
     def __init__(self, nav, trigger: ChangeEvent):
         self._nav = nav.memoised()
         self._trigger = trigger
 
     def boundary(self, policy: ResourcePolicy) -> ScholarlyObject:
-        return self._nav.discover_object(self._trigger.loc, policy=policy, get_items=True)
+        # an entry the event types as content is downloaded anyway, so
+        # one GET serves both its links and its body
+        trigger = self._trigger
+        return self._nav.discover_object(
+            trigger.loc,
+            policy=policy,
+            get_items=True,
+            get_start=entry_is_content(trigger.links, policy),
+        )
 
     def get(self, uri: str) -> _Got:
         try:

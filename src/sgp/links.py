@@ -63,8 +63,11 @@ REGISTERED_RELATIONS = frozenset(
 class MalformedLinkField(ValueError):
     """Raised when a Link field (or one link-value in strict mode) is garbage.
 
-    ``offset`` is the character position in the original field value.
+    ``offset`` is the character position in the original field value;
+    ``uri`` names the resource that sent the field, when a client read it.
     """
+
+    uri: str | None = None
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")

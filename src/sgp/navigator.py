@@ -24,6 +24,7 @@ import requests
 from .links import (
     DEFAULT_VOCABULARY,
     LinkSet,
+    MalformedLinkField,
     Vocabulary,
     parse_link_field,
     resolve_targets,
@@ -56,7 +57,7 @@ _REDIRECT_STATUSES = frozenset({301, 302, 303, 307, 308})
 
 
 class NavigationError(RuntimeError):
-    pass
+    uri: str | None = None  # where a redirect walk stopped, when one did
 
 
 class ConnectionFailure(NavigationError):
@@ -309,33 +310,39 @@ class SignpostClient:
         terminal response. With a memo open, each hop is looked up before
         it is requested, and a known one ends the walk with the memo's
         hops and result; a finished walk is kept under every hop and its
-        final URI. The result names ``uri`` as the URI asked for."""
+        final URI. The result names ``uri`` as the URI asked for. An
+        error raised on the way names the URI the walk stopped at as its
+        ``uri``."""
         memo = self._memo
         max_redirects = self.policy.max_redirects
         current = uri
         hops: list[Hop] = []
-        while len(hops) <= max_redirects:
-            known = memo.get((method, current)) if memo is not None else None
-            if known is not None:
-                hops.extend(known[0])
-                result = known[1]
-                break
-            response = self._request(method, current)
-            location = response.headers.get("Location")
-            if response.status_code in _REDIRECT_STATUSES and location is not None:
-                target = urljoin(current, location)
-                hops.append(
-                    Hop(
-                        uri=current,
-                        status=response.status_code,
-                        location=target,
-                        links=self._links_from(response, current),
+        try:
+            while len(hops) <= max_redirects:
+                known = memo.get((method, current)) if memo is not None else None
+                if known is not None:
+                    hops.extend(known[0])
+                    result = known[1]
+                    break
+                response = self._request(method, current)
+                location = response.headers.get("Location")
+                if response.status_code in _REDIRECT_STATUSES and location is not None:
+                    target = urljoin(current, location)
+                    hops.append(
+                        Hop(
+                            uri=current,
+                            status=response.status_code,
+                            location=target,
+                            links=self._links_from(response, current),
+                        )
                     )
-                )
-                current = target
-                continue
-            result = self._terminal(uri, current, response, with_body=method == "GET")
-            break
+                    current = target
+                    continue
+                result = self._terminal(uri, current, response, with_body=method == "GET")
+                break
+        except (NavigationError, MalformedLinkField) as exc:
+            exc.uri = current
+            raise
         if len(hops) > max_redirects:
             raise TooManyRedirects(f"{uri}: more than {max_redirects} redirects")
         chain = tuple(hops)
@@ -382,6 +389,7 @@ class SignpostClient:
         *,
         policy: ResourcePolicy = DEFAULT_RESOURCE_POLICY,
         get_items: bool = False,
+        get_start: bool = False,
     ) -> ScholarlyObject:
         """Boundary closure from any member URI.
 
@@ -393,12 +401,17 @@ class SignpostClient:
         requested once. Items are HEADed unless ``get_items``: then each
         item is fetched by GET and its links are read from that response,
         and a memoised caller reads the bodies back with
-        ``fetch_resource`` at no further request. The start and the entry
-        page stay HEAD either way: a landing-page entry is never
-        downloaded, so a GET there would only add bytes.
+        ``fetch_resource`` at no further request. The start is HEADed
+        unless ``get_start``, which a caller sets when it already knows
+        the start is content (a feed event that types it as an article):
+        then the start is fetched by GET and its links, the same a HEAD
+        would give, are read from that response. A failed GET ends
+        discovery as a failed HEAD would. A climbed-to entry page is
+        always HEADed: a landing-page entry is never downloaded, so a GET
+        there would only add bytes.
         """
         nav = self.memoised()
-        current = nav.head_links(start)
+        current = (nav.fetch_resource if get_start else nav.head_links)(start)
         upward = select(current.links, "collection")
         if upward and upward[0].target != current.final_uri:
             current = nav.head_links(upward[0].target)

@@ -43,6 +43,7 @@ __all__ = [
     "classify_pattern",
     "validate_object",
     "pick_identifying_uri",
+    "entry_is_content",
     "SEM_ARTICLE",
     "SEM_DATASET",
     "SEM_OBJECT_FILE",
@@ -325,7 +326,9 @@ def _bib_descriptor(link: TypedLink) -> ResourceDescriptor:
     )
 
 
-def _entry_is_content(entry_links: LinkSet, policy: ResourcePolicy) -> bool:
+def entry_is_content(entry_links: LinkSet, policy: ResourcePolicy) -> bool:
+    """Whether an entry page's own links type it as content (the PLOS
+    shape), so that it is itself a publication resource."""
     for link in select(entry_links, TYPE):
         if policy.canonical_semantic(link.target) in _SELF_CONTENT:
             return True
@@ -366,7 +369,7 @@ def object_from_links(
     entry_desc = _entry_descriptor(entry_uri, entry_links, entry_media_type, policy)
     pubs: list[ResourceDescriptor] = []
     seen: set[str] = {entry_uri}
-    if _entry_is_content(entry_links, policy):
+    if entry_is_content(entry_links, policy):
         pubs.append(entry_desc)
     for link in select(entry_links, ITEM):
         if link.target in seen:
@@ -394,14 +397,14 @@ def boundary_closure(
     except Exception as exc:  # noqa: BLE001 - oracle errors become FetchFailure
         raise FetchFailure(entry, str(exc)) from exc
 
-    if not select(links, ITEM) and not _entry_is_content(links, policy):
+    if not select(links, ITEM) and not entry_is_content(links, policy):
         raise NoEntryPage(entry)
 
     entry_desc = _entry_descriptor(entry, links, entry_media_type, policy)
     pubs: list[ResourceDescriptor] = []
     failures: list[tuple[str, str]] = []
     visited: set[str] = {entry}
-    if _entry_is_content(links, policy):
+    if entry_is_content(links, policy):
         pubs.append(entry_desc)
 
     queue: list[TypedLink] = list(select(links, ITEM))

@@ -183,6 +183,27 @@ class TestCompliantEndpoint:
             assert rpt.result_for(check_id).verdict is Verdict.NOT_APPLICABLE
         assert rpt.score == "9/9"
 
+    def test_the_first_candidate_that_answers_is_the_registrar_feed(self, endpoint):
+        auditor = Auditor(
+            client=SignpostClient(FAST, strict=True), policy=endpoint.policy()
+        )
+        feed = endpoint.uri("/registrar/changelist.xml")
+        endpoint.clear_log()
+        rpt = auditor.audit(
+            endpoint.entry_uri,
+            publisher_feed=endpoint.uri("/changelist.xml"),
+            registrar_candidates=[endpoint.uri("/no-such-feed.xml"), feed],
+        )
+        assert rpt.result_for("R1").verdict is Verdict.PASS
+        assert rpt.result_for("R1").evidence[0][0] == feed
+        gets = [e.path for e in endpoint.log() if e.method == "GET"]
+        assert gets.count("/registrar/changelist.xml") == 1
+        unanswered = auditor.audit(
+            endpoint.entry_uri, registrar_candidates=[endpoint.uri("/no-such-feed.xml")]
+        )
+        for check_id in ("R1", "R2", "R3"):
+            assert unanswered.result_for(check_id).verdict is Verdict.NOT_APPLICABLE
+
     def test_two_object_endpoint_audits_each_entry_clean(self):
         with serve(plos_spec(), landing_spec()) as ep:
             auditor = Auditor(

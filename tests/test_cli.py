@@ -9,6 +9,7 @@ import threading
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from gen import distinct_specs
@@ -506,7 +507,9 @@ class TestAudit:
         assert "12/12" in capsys.readouterr().out
 
     @pytest.mark.parametrize("pattern", [plos_spec, landing_spec], ids=["plos", "landing"])
-    @pytest.mark.parametrize("feature", [None, *sorted(ABLATION_RECOMMENDATION)])
+    @pytest.mark.parametrize(
+        "feature", [None, *sorted(ABLATION_RECOMMENDATION), "malformed-entry-header"]
+    )
     def test_an_audit_requests_each_resource_once(self, pattern, feature, capsys):
         spec = pattern() if feature is None else degrade(pattern(), feature)
         with serve(spec) as ep:
@@ -519,10 +522,38 @@ class TestAudit:
         # the probe for the conventional registrar feed is also the audit's read
         assert requested.count(("GET", "/registrar/changelist.xml")) == 1
 
+    @pytest.mark.parametrize(
+        "pattern, entry_requests",
+        [(plos_spec, 8), (landing_spec, 7)],
+        ids=["plos", "landing"],
+    )
+    def test_an_unreadable_entry_header_is_requested_once(
+        self, pattern, entry_requests, capsys
+    ):
+        # R3's resolution ends on the entry page; its failure there stands
+        # for the entry's HEAD in R7, R11 and R12
+        with serve(degrade(pattern(), "malformed-entry-header")) as ep:
+            rc = run(["audit", "--entry", ep.entry_uri, "--format", "json"])
+            requested = [(e.method, e.path) for e in ep.log()]
+        payload, _ = _out_json(capsys)
+        assert rc == 1
+        assert len(requested) == len(set(requested)) == entry_requests
+        verdicts = {r["check"]: r["verdict"] for r in payload["results"]}
+        failed = {check for check, verdict in verdicts.items() if verdict == "fail"}
+        assert failed == {"R3", "R7", "R11", "R12"}
+        assert set(verdicts.values()) == {"pass", "fail"}
+        evidence = {r["check"]: r["evidence"] for r in payload["results"]}
+        assert evidence["R3"] == [
+            [ep.doi_uri, "resolution failed: missing '>' (offset 0)"]
+        ]
+        for check in ("R7", "R11", "R12"):
+            assert evidence[check] == [[ep.entry_uri, "Link header unreadable"]]
+
     def test_a_feed_with_an_unreadable_link_header_is_reported(
         self, broken_feed_links, capsys
     ):
-        rc = run(["audit", "--entry", broken_feed_links + "/entry", "--format", "json"])
+        base = broken_feed_links.base
+        rc = run(["audit", "--entry", base + "/entry", "--format", "json"])
         payload, _ = _out_json(capsys)
         assert rc == 1
         results = {result["check"]: result for result in payload["results"]}
@@ -530,23 +561,30 @@ class TestAudit:
         for check in ("R1", "R4"):
             assert results[check]["verdict"] == "fail"
             ((uri, text),) = results[check]["evidence"]
-            assert uri.startswith(broken_feed_links)
+            assert uri.startswith(base)
             assert text.startswith("feed unreadable: Link header unreadable: missing '>'")
+        # the probe that adopts the registrar list is also R1's read
+        gets = [path for method, path in broken_feed_links.log if method == "GET"]
+        assert gets.count("/registrar/changelist.xml") == 1
+        assert gets.count("/changelist.xml") == 1
 
 
 @pytest.fixture
 def broken_feed_links(endpoint):
     """A host whose two change lists answer 200 with the fixture's feed
     bodies and a Link header that does not parse; every other path is a
-    page without links. Yields its base URI."""
+    page without links. Yields its ``base`` URI and the (method, path)
+    ``log`` of the requests it answered."""
     client = SignpostClient()
     bodies = {
         path: client.fetch_resource(endpoint.uri(path)).body
         for path in ("/changelist.xml", "/registrar/changelist.xml")
     }
+    log = []
 
     class Handler(BaseHTTPRequestHandler):
         def _answer(self, with_body):
+            log.append((self.command, self.path))
             body = bodies.get(self.path, b"<html><body>entry</body></html>")
             self.send_response(200)
             if self.path in bodies:
@@ -570,7 +608,7 @@ def broken_feed_links(endpoint):
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
+    yield SimpleNamespace(base=f"http://127.0.0.1:{server.server_address[1]}", log=log)
     server.shutdown()
     server.server_close()
 

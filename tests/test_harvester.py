@@ -36,8 +36,9 @@ from sgp.harvester import (
     plan_from_feed,
     record_tombstone,
 )
+from sgp.links import LinkSet, parse_link_field
 from sgp.navigator import PolitenessPolicy, SignpostClient
-from sgp.resources import ResourceDescriptor, ResourceRole, ScholarlyObject
+from sgp.resources import SEM_ARTICLE, ResourceDescriptor, ResourceRole, ScholarlyObject
 from sgp.resourcesync import (
     ChangeDumpIndex,
     ChangeEvent,
@@ -283,11 +284,13 @@ class TestEachMemberDownloadedOnce:
         assert all(r.completeness.passed for r in records)
         heads = [e.path for e in log if e.method == "HEAD"]
         gets = [e.path for e in log if e.method == "GET"]
-        # only the entry pages are HEADed; the PLOS one is content, so GET too
-        assert heads == ["/plosone/article", "/journal/vol1/demo"]
-        assert set(heads) & set(gets) == {"/plosone/article"}
+        # only the landing page is HEADed; the feed types the PLOS entry
+        # as an article, so its one GET serves discovery and the fetch
+        assert heads == ["/journal/vol1/demo"]
+        assert "/plosone/article" in gets
+        assert not set(heads) & set(gets)
         assert len(gets) == len(set(gets)) == 10
-        assert len(log) == 12
+        assert len(log) == 11
 
     def test_failed_discovery_get_is_fetched_again(self, tmp_path):
         spec = plos_spec()
@@ -309,6 +312,104 @@ class TestEachMemberDownloadedOnce:
         assert store.load_payload(fetch.sha256) == xml.body()
         assert [e.method for e in log if e.path == xml.path] == ["GET", "GET"]
         assert len(log) == 8
+
+
+def _timeless(record):
+    """A record's JSON without its clock readings."""
+    data = record.to_json_dict()
+    del data["created_at"]
+    for fetch in data["fetches"]:
+        fetch.pop("fetched_at", None)
+    return data
+
+
+_AS_ARTICLE = parse_link_field(f'<{SEM_ARTICLE}>; rel="type"')
+
+
+class TestContentTypedStart:
+    """A trigger whose event types it as content is fetched by one GET,
+    which serves both discovery and the fetch stage; without such a type
+    link the start is HEADed. Either way the record is the same."""
+
+    @staticmethod
+    def _both(specs, events_of, tmp_path):
+        """On one server, ((records, log), (records, log)) of ingesting
+        ``events_of(ep, client)`` as given and with their links dropped;
+        a log lists (method, path)."""
+        runs = []
+        with serve(*specs) as ep:
+            client = SignpostClient(FAST)
+            typed = events_of(ep, client)
+            bare = [dataclasses.replace(e, links=LinkSet()) for e in typed]
+            for name, events in (("typed", typed), ("bare", bare)):
+                ep.clear_log()
+                store = IngestStore(tmp_path / name)
+                records = [
+                    ingest(IngestTask(trigger=e), client, store, POLICY) for e in events
+                ]
+                runs.append((records, [(e.method, e.path) for e in ep.log()]))
+        return runs
+
+    def test_feed_records_equal_those_of_the_head_path(self, tmp_path):
+        def feed_events(ep, client):
+            return parse_change_list(client.fetch_resource(ep.publisher_feed_uri).body).events
+
+        (typed, typed_log), (bare, bare_log) = self._both(
+            (plos_spec(), landing_spec()), feed_events, tmp_path
+        )
+        assert all(r.completeness.passed for r in typed)
+        assert [_timeless(r) for r in typed] == [_timeless(r) for r in bare]
+        assert ("HEAD", "/plosone/article") in bare_log
+        assert ("HEAD", "/plosone/article") not in typed_log
+        assert typed_log.count(("GET", "/plosone/article")) == 1
+        assert typed_log.count(("HEAD", "/journal/vol1/demo")) == 1
+        assert len(typed_log) == len(set(typed_log)) == len(bare_log) - 1
+
+    def test_a_landing_page_typed_as_an_article_is_got_once(self, tmp_path):
+        def events(ep, client):
+            return [dataclasses.replace(_event(ep.entry_uri), links=_AS_ARTICLE)]
+
+        (typed, typed_log), (bare, bare_log) = self._both(
+            (landing_spec(),), events, tmp_path
+        )
+        # its live links say humanStartPage: no member, so no fetch of it
+        assert _timeless(typed[0]) == _timeless(bare[0])
+        assert typed[0].completeness.passed
+        entry = landing_spec().entry_path
+        assert [m for m, path in typed_log if path == entry] == ["GET"]
+        assert [m for m, path in bare_log if path == entry] == ["HEAD"]
+        assert len(typed_log) == len(set(typed_log)) == len(bare_log)
+
+    def test_an_entry_that_answers_404_is_requested_once(self, tmp_path):
+        spec = FixtureSpec.from_json_dict(
+            {**plos_spec().to_json_dict(), "status_scripts": [["/plosone/article", [404, 404]]]}
+        )
+
+        def events(ep, client):
+            return [dataclasses.replace(_event(ep.entry_uri), links=_AS_ARTICLE)]
+
+        (typed, typed_log), (bare, bare_log) = self._both((spec,), events, tmp_path)
+        assert typed_log == [("GET", "/plosone/article")]
+        assert bare_log == [("HEAD", "/plosone/article")]
+        assert _timeless(typed[0]) == _timeless(bare[0])
+        (failure,) = typed[0].completeness.failures
+        assert failure[1].startswith("HTTP 404 for ")
+
+    def test_a_redirecting_start_reaches_the_same_record(self, tmp_path):
+        def events(ep, client):
+            return [dataclasses.replace(_event(ep.doi_uri), links=_AS_ARTICLE)]
+
+        (typed, typed_log), (bare, bare_log) = self._both(
+            (plos_spec(),), events, tmp_path
+        )
+        assert typed[0].completeness.passed
+        assert _timeless(typed[0]) == _timeless(bare[0])
+        # every hop of the DOI's walk is requested once, by GET
+        walk = [path for m, path in bare_log if m == "HEAD"]
+        assert walk[-1] == "/plosone/article"
+        assert [path for m, path in typed_log if m == "HEAD"] == []
+        assert [path for m, path in typed_log[: len(walk)]] == walk
+        assert len(typed_log) == len(set(typed_log)) == len(bare_log) - 1
 
 
 class TestRegistrarFallback:

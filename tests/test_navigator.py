@@ -132,6 +132,19 @@ class TestRedirectChains:
         assert chain.hops == ()
         assert chain.terminal.final_uri == endpoint.entry_uri
 
+    def test_a_failed_walk_names_where_it_stopped(self):
+        spec = FixtureSpec.from_json_dict(
+            {**plos_spec().to_json_dict(), "status_scripts": [["/plosone/article", [404]]]}
+        )
+        with serve(degrade(plos_spec(), "malformed-entry-header")) as ep:
+            with pytest.raises(MalformedLinkField) as unreadable:
+                SignpostClient(FAST, strict=True).resolve_persistent(ep.doi_uri)
+        assert unreadable.value.uri == ep.entry_uri
+        with serve(spec) as ep:
+            with pytest.raises(HttpError) as missing:
+                SignpostClient(FAST).resolve_persistent(ep.doi_uri)
+        assert missing.value.uri == missing.value.result.final_uri == ep.entry_uri
+
     def test_redirect_loop_bounded(self, endpoint):
         short = SignpostClient(PolitenessPolicy(timeout=5, max_redirects=3))
         with pytest.raises(TooManyRedirects):
@@ -193,6 +206,52 @@ class TestDiscovery:
             result = nav.fetch_resource(endpoint.uri(asset.path))
             assert result.body == asset.body()
         assert endpoint.log() == log
+
+    def test_a_start_known_as_content_is_got_once(self, endpoint, client):
+        policy = endpoint.policy()
+        by_head = client.discover_object(endpoint.entry_uri, policy=policy)
+        nav = client.memoised()
+        endpoint.clear_log()
+        obj = nav.discover_object(
+            endpoint.entry_uri, policy=policy, get_items=True, get_start=True
+        )
+        log = endpoint.log()
+        assert obj == by_head
+        paths = [endpoint.spec.entry_path, *(asset.path for asset in endpoint.spec.assets)]
+        assert sorted((e.method, e.path) for e in log) == sorted(("GET", p) for p in paths)
+        # the start's body comes back from the memo too
+        assert nav.fetch_resource(endpoint.entry_uri).body
+        assert endpoint.log() == log
+
+    def test_a_redirecting_start_got_by_get_keeps_its_chain(self, endpoint, client):
+        policy = endpoint.policy()
+        chain = client.resolve_persistent(endpoint.doi_uri)
+        by_head = client.discover_object(endpoint.doi_uri, policy=policy)
+        nav = client.memoised()
+        endpoint.clear_log()
+        obj = nav.discover_object(endpoint.doi_uri, policy=policy, get_start=True)
+        log = [(e.method, e.path) for e in endpoint.log()]
+        assert obj == by_head
+        walk = [urlsplit(hop.uri).path for hop in chain.hops] + [endpoint.spec.entry_path]
+        assert log[: len(walk)] == [("GET", path) for path in walk]
+        assert {method for method, _ in log[len(walk) :]} == {"HEAD"}
+        # the walk is kept under the start and answers its GET
+        got = nav.fetch_resource(endpoint.doi_uri)
+        assert (got.uri, got.final_uri) == (endpoint.doi_uri, endpoint.entry_uri)
+        assert len(endpoint.log()) == len(log)
+
+    def test_a_failed_get_of_the_start_ends_discovery(self):
+        spec = FixtureSpec.from_json_dict(
+            {**plos_spec().to_json_dict(), "status_scripts": [["/plosone/article", [404]]]}
+        )
+        with serve(spec) as ep:
+            with pytest.raises(HttpError) as err:
+                SignpostClient(FAST).discover_object(
+                    ep.entry_uri, policy=ep.policy(), get_items=True, get_start=True
+                )
+            log = ep.log()
+        assert err.value.result.status == 404
+        assert [(e.method, e.path) for e in log] == [("GET", "/plosone/article")]
 
     def test_plain_page_has_no_object(self, endpoint, client):
         with pytest.raises(NoEntryPage):
