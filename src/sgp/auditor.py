@@ -15,6 +15,7 @@ from datetime import datetime
 from typing import Sequence
 from urllib.parse import urlsplit
 
+from .codec import SCHEMA_VERSION, Record
 from .crossref import CROSSREF_PROFILE
 from .links import LinkSet, MalformedLinkField
 from .navigator import NavigationError, SignpostClient
@@ -66,10 +67,10 @@ class Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One recommendation's verdict with the evidence behind it."""
 
-    check_id: str
+    check_id: str = field(metadata={"key": "check"})
     verdict: Verdict
     evidence: tuple[tuple[str, str], ...] = ()
     warnings: tuple[str, ...] = ()
@@ -84,17 +85,9 @@ class CheckResult:
     def recommendation(self) -> str:
         return RECOMMENDATIONS[self.check_id]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check_id,
-            "verdict": self.verdict.value,
-            "evidence": [[uri, text] for uri, text in self.evidence],
-            "warnings": list(self.warnings),
-        }
-
 
 @dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     target: str
     results: tuple[CheckResult, ...]
     generated_at: datetime = field(default_factory=utcnow)
@@ -135,13 +128,7 @@ class AuditReport:
         return bool(self.applicable) and not self.failed
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "target": self.target,
-            "generated_at": format_rfc3339(self.generated_at),
-            "score": self.score,
-            "results": [r.to_json_dict() for r in self.results],
-        }
+        return {**super().to_json_dict(), "schema_version": SCHEMA_VERSION, "score": self.score}
 
 
 def render_report(report: AuditReport, fmt: str = "text") -> str:

@@ -7,9 +7,10 @@ from __future__ import annotations
 import enum
 import re
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
+from .codec import OMIT, Record
 from .crossref import CROSSREF_PROFILE, CrossRefWork, InvalidDoi, normalize_doi, parse_work
 
 __all__ = [
@@ -64,107 +65,54 @@ class Severity(enum.Enum):
     MINOR = "minor"
 
 
+def _authors_to_json(authors: tuple[tuple[str, str | None], ...]) -> list[dict]:
+    return [
+        {"family": family, **({"given": given} if given else {})}
+        for family, given in authors
+    ]
+
+
+def _authors_from_json(data: list[dict]) -> tuple[tuple[str, str | None], ...]:
+    return tuple((a["family"], a.get("given")) for a in data)
+
+
 @dataclass(frozen=True)
-class BibRecord:
+class BibRecord(Record):
     """One bibliographic description of one publication."""
 
     title: str
     source_format: SourceFormat
-    doi: str | None = None
-    authors: tuple[tuple[str, str | None], ...] = ()
-    container: str | None = None
-    year: int | None = None
-    volume: str | None = None
-    issue: str | None = None
-    pages: str | None = None
-    source_uri: str | None = None
+    doi: str | None = field(default=None, metadata=OMIT)
+    authors: tuple[tuple[str, str | None], ...] = field(
+        default=(),
+        metadata={**OMIT, "encode": _authors_to_json, "decode": _authors_from_json},
+    )
+    container: str | None = field(default=None, metadata=OMIT)
+    year: int | None = field(default=None, metadata=OMIT)
+    volume: str | None = field(default=None, metadata=OMIT)
+    issue: str | None = field(default=None, metadata=OMIT)
+    pages: str | None = field(default=None, metadata=OMIT)
+    source_uri: str | None = field(default=None, metadata=OMIT)
 
     def __post_init__(self) -> None:
         if not self.title or not self.title.strip():
             raise MissingTitle("record without a title")
 
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "title": self.title,
-            "source_format": self.source_format.value,
-        }
-        if self.doi is not None:
-            out["doi"] = self.doi
-        if self.authors:
-            out["authors"] = [
-                {"family": family, **({"given": given} if given else {})}
-                for family, given in self.authors
-            ]
-        for name in ("container", "year", "volume", "issue", "pages", "source_uri"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BibRecord":
-        return cls(
-            title=data["title"],
-            source_format=SourceFormat(data["source_format"]),
-            doi=data.get("doi"),
-            authors=tuple(
-                (a["family"], a.get("given")) for a in data.get("authors", [])
-            ),
-            container=data.get("container"),
-            year=data.get("year"),
-            volume=data.get("volume"),
-            issue=data.get("issue"),
-            pages=data.get("pages"),
-            source_uri=data.get("source_uri"),
-        )
-
 
 @dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(Record):
     field: str
     left: str | None
     right: str | None
     severity: Severity
 
-    def to_json_dict(self) -> dict:
-        return {
-            "field": self.field,
-            "left": self.left,
-            "right": self.right,
-            "severity": self.severity.value,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Discrepancy":
-        return cls(
-            field=data["field"],
-            left=data["left"],
-            right=data["right"],
-            severity=Severity(data["severity"]),
-        )
-
 
 @dataclass(frozen=True)
-class ReconciliationReport:
+class ReconciliationReport(Record):
     """matched is true exactly when no Major discrepancy was found."""
 
     matched: bool
     discrepancies: tuple[Discrepancy, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "matched": self.matched,
-            "discrepancies": [d.to_json_dict() for d in self.discrepancies],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ReconciliationReport":
-        return cls(
-            matched=data["matched"],
-            discrepancies=tuple(
-                Discrepancy.from_json_dict(d) for d in data.get("discrepancies", [])
-            ),
-        )
 
 
 _WS = re.compile(r"\s+")

@@ -33,6 +33,7 @@ from .bibliography import (
     parse_ris,
     reconcile,
 )
+from .codec import DECODE_ERRORS, SCHEMA_VERSION
 from .crossref import (
     DEFAULT_API_BASE,
     CrossRefClient,
@@ -290,14 +291,14 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     except NoEntryPage as exc:
         _note(f"NoEntryPage: {exc}")
         return EXIT_VERIFICATION
-    _emit_json({"schema_version": 1, **obj.to_json_dict()})
+    _emit_json({"schema_version": SCHEMA_VERSION, **obj.to_json_dict()})
     return EXIT_OK
 
 
 def _cmd_feed_parse(args: argparse.Namespace) -> int:
     feed = parse_change_list(_read_source(args.source, SignpostClient()))
     payload: dict = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "capability": feed.capability,
         "events": [_event_json(event) for event in feed.events],
     }
@@ -313,7 +314,7 @@ def _cmd_feed_emit(args: argparse.Namespace) -> int:
     try:
         data = json.loads(Path(args.object).read_text(encoding="utf-8"))
         obj = ScholarlyObject.from_json_dict(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, *DECODE_ERRORS) as exc:
         raise _Usage(f"cannot load object from {args.object}: {exc}") from exc
     if args.when:
         try:
@@ -341,7 +342,7 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
             substance = SubstancePolicy.from_json_dict(
                 json.loads(Path(args.policy).read_text(encoding="utf-8"))
             )
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, *DECODE_ERRORS) as exc:
             raise _Usage(f"cannot load policy {args.policy}: {exc}") from exc
     try:
         opened = ChangeDumpIndex(args.dump) if args.dump else contextlib.nullcontext()
@@ -374,7 +375,7 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
                 )
     _emit_json(
         {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "store": store_dir,
             "records": [record.json_dict for record in records],
         }
@@ -477,7 +478,7 @@ def _cmd_fixture_serve(args: argparse.Namespace) -> int:
         data = json.loads(Path(args.spec).read_text(encoding="utf-8"))
         raw = data if isinstance(data, list) else [data]
         specs = [FixtureSpec.from_json_dict(entry) for entry in raw]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, *DECODE_ERRORS) as exc:
         raise _Usage(f"cannot load fixture spec {args.spec}: {exc}") from exc
     if not specs:
         raise _Usage(f"{args.spec} describes no objects")

@@ -13,12 +13,13 @@ import dataclasses
 import json
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterable
 from urllib.parse import urlsplit
 
 from .bibliography import BIBTEX_PROFILE, RIS_PROFILE
+from .codec import OMIT, Record
 from .crossref import CROSSREF_PROFILE, parse_work
 from .links import (
     COLLECTION,
@@ -103,14 +104,14 @@ _SELF_CONTENT = frozenset({SEM_ARTICLE, SEM_DATASET})
 
 
 @dataclass(frozen=True)
-class AssetSpec:
+class AssetSpec(Record):
     """One publication resource other than the entry page."""
 
     path: str
     media_type: str
     sem_type: str
     body_text: str
-    pad_to: int | None = None
+    pad_to: int | None = field(default=None, metadata=OMIT)
 
     def body(self) -> bytes:
         raw = self.body_text.encode("utf-8")
@@ -118,19 +119,9 @@ class AssetSpec:
             raw += b"x" * (self.pad_to - len(raw))
         return raw
 
-    def to_json_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        if out["pad_to"] is None:
-            del out["pad_to"]
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AssetSpec":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class FixtureSpec:
+class FixtureSpec(Record):
     """Template for one served object; URIs are paths, bound to the
     server's base at startup."""
 
@@ -144,40 +135,6 @@ class FixtureSpec:
     member: str
     ablations: frozenset[str] = frozenset()
     status_scripts: tuple[tuple[str, tuple[int, ...]], ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "doi": self.doi,
-            "entry_path": self.entry_path,
-            "entry_sem_type": self.entry_sem_type,
-            "assets": [asset.to_json_dict() for asset in self.assets],
-            "bib": self.bib,
-            "deposited": self.deposited,
-            "publisher": self.publisher,
-            "member": self.member,
-            "ablations": sorted(self.ablations),
-            "status_scripts": [
-                [path, list(statuses)] for path, statuses in self.status_scripts
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FixtureSpec":
-        return cls(
-            doi=data["doi"],
-            entry_path=data["entry_path"],
-            entry_sem_type=data["entry_sem_type"],
-            assets=tuple(AssetSpec.from_json_dict(a) for a in data["assets"]),
-            bib=dict(data["bib"]),
-            deposited=data["deposited"],
-            publisher=data["publisher"],
-            member=data["member"],
-            ablations=frozenset(data.get("ablations", ())),
-            status_scripts=tuple(
-                (path, tuple(statuses))
-                for path, statuses in data.get("status_scripts", ())
-            ),
-        )
 
 
 def plos_spec(*, pdf_bytes: int = 2048) -> FixtureSpec:

@@ -36,6 +36,7 @@ from .bibliography import (
     parser_for,
     reconcile,
 )
+from .codec import DECODE_ERRORS, OMIT, SCHEMA_VERSION, Record
 from .crossref import CROSSREF_PROFILE, CrossRefError, InvalidDoi, MalformedJson, normalize_doi
 from .fixity import (
     FixityInfo,
@@ -68,7 +69,7 @@ from .resourcesync import (  # noqa: F401 - perfbench/tracing.py wraps unpack_ch
     pack_change_dump,
     unpack_change_dump,
 )
-from .rfc3339 import format_rfc3339, parse_rfc3339, utcnow
+from .rfc3339 import format_rfc3339, utcnow
 
 __all__ = [
     "IngestMode",
@@ -145,45 +146,23 @@ def plan_from_feed(
 
 
 @dataclass(frozen=True)
-class FetchSummary:
+class FetchSummary(Record):
     """What one fetch attempt produced; status None means no response."""
 
     uri: str
     status: int | None
-    sha256: str | None = None
-    length: int | None = None
-    media_type: str | None = None
-    fetched_at: datetime | None = None
+    sha256: str | None = field(default=None, metadata=OMIT)
+    length: int | None = field(default=None, metadata=OMIT)
+    media_type: str | None = field(default=None, metadata=OMIT)
+    fetched_at: datetime | None = field(default=None, metadata=OMIT)
 
     @property
     def ok(self) -> bool:
         return self.status is not None and 200 <= self.status < 300
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"uri": self.uri, "status": self.status}
-        for name in ("sha256", "length", "media_type"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        if self.fetched_at is not None:
-            out["fetched_at"] = format_rfc3339(self.fetched_at)
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FetchSummary":
-        fetched_at = data.get("fetched_at")
-        return cls(
-            uri=data["uri"],
-            status=data["status"],
-            sha256=data.get("sha256"),
-            length=data.get("length"),
-            media_type=data.get("media_type"),
-            fetched_at=parse_rfc3339(fetched_at) if fetched_at else None,
-        )
-
 
 @dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(Record):
     """Was everything that should have been ingested ingested?
 
     ``violations`` are structural findings over the boundary;
@@ -195,24 +174,9 @@ class CompletenessReport:
     violations: tuple[str, ...] = ()
     failures: tuple[tuple[str, str], ...] = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "violations": list(self.violations),
-            "failures": [[uri, reason] for uri, reason in self.failures],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CompletenessReport":
-        return cls(
-            passed=data["passed"],
-            violations=tuple(data.get("violations", ())),
-            failures=tuple((u, r) for u, r in data.get("failures", ())),
-        )
-
 
 @dataclass(frozen=True)
-class BibliographyReport:
+class BibliographyReport(Record):
     """Reconciliation outcome plus the record chosen as authoritative.
 
     The registrar record is the baseline; a missing publisher record is
@@ -225,28 +189,9 @@ class BibliographyReport:
     record: BibRecord | None = None
     notes: tuple[str, ...] = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "matched": self.matched,
-            "report": self.report.to_json_dict() if self.report else None,
-            "record": self.record.to_json_dict() if self.record else None,
-            "notes": list(self.notes),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BibliographyReport":
-        report = data.get("report")
-        record = data.get("record")
-        return cls(
-            matched=data["matched"],
-            report=ReconciliationReport.from_json_dict(report) if report else None,
-            record=BibRecord.from_json_dict(record) if record else None,
-            notes=tuple(data.get("notes", ())),
-        )
-
 
 @dataclass(frozen=True)
-class SubstanceRule:
+class SubstanceRule(Record):
     min_pdf_count: int = 0
     min_html_count: int = 0
     min_pdf_bytes: int = 0
@@ -257,26 +202,22 @@ class SubstanceRule:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "min_pdf_count": self.min_pdf_count,
-            "min_html_count": self.min_html_count,
-            "min_pdf_bytes": self.min_pdf_bytes,
-            "min_html_bytes": self.min_html_bytes,
-        }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SubstanceRule":
-        return cls(**{k: data.get(k, 0) for k in (
-            "min_pdf_count", "min_html_count", "min_pdf_bytes", "min_html_bytes"
-        )})
+def _rules_to_json(rules: tuple[tuple[str, SubstanceRule], ...]) -> dict:
+    return {name: rule.to_json_dict() for name, rule in rules}
+
+
+def _rules_from_json(data: dict) -> tuple[tuple[str, SubstanceRule], ...]:
+    return tuple((name, SubstanceRule.from_json_dict(rule)) for name, rule in data.items())
 
 
 @dataclass(frozen=True)
-class SubstancePolicy:
+class SubstancePolicy(Record):
     """Per-tag expectations on how much content an object should carry."""
 
-    rules: tuple[tuple[str, SubstanceRule], ...] = ()
+    rules: tuple[tuple[str, SubstanceRule], ...] = field(
+        default=(), metadata={"encode": _rules_to_json, "decode": _rules_from_json}
+    )
     default: SubstanceRule | None = None
 
     def rule_for(self, tag: str | None) -> SubstanceRule | None:
@@ -286,54 +227,22 @@ class SubstancePolicy:
                     return rule
         return self.default
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rules": {name: rule.to_json_dict() for name, rule in self.rules},
-            "default": self.default.to_json_dict() if self.default else None,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SubstancePolicy":
-        default = data.get("default")
-        return cls(
-            rules=tuple(
-                (name, SubstanceRule.from_json_dict(rule))
-                for name, rule in data.get("rules", {}).items()
-            ),
-            default=SubstanceRule.from_json_dict(default) if default else None,
-        )
-
 
 @dataclass(frozen=True)
-class SubstanceReport:
+class SubstanceReport(Record):
     passed: bool
     configured: bool
     notes: tuple[str, ...] = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "configured": self.configured,
-            "notes": list(self.notes),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SubstanceReport":
-        return cls(
-            passed=data["passed"],
-            configured=data["configured"],
-            notes=tuple(data.get("notes", ())),
-        )
-
 
 @dataclass(frozen=True)
-class IngestRecord:
+class IngestRecord(Record):
     """Everything one ingest run learned about one object."""
 
     object: ScholarlyObject
-    trigger_loc: str
-    trigger_kind: ChangeKind
-    trigger_datetime: datetime
+    trigger_loc: str = field(metadata={"key": ("trigger", "loc")})
+    trigger_kind: ChangeKind = field(metadata={"key": ("trigger", "change")})
+    trigger_datetime: datetime = field(metadata={"key": ("trigger", "datetime")})
     mode: IngestMode
     completeness: CompletenessReport
     bibliography: BibliographyReport
@@ -342,7 +251,7 @@ class IngestRecord:
     filter_tag: str | None = None
     tombstone: bool = False
     created_at: datetime = field(default_factory=utcnow)
-    schema_version: int = 1
+    schema_version: int = SCHEMA_VERSION
 
     @property
     def key(self) -> str:
@@ -353,44 +262,6 @@ class IngestRecord:
         """``to_json_dict()`` built once, for the store and the CLI to
         share; read it, never change it."""
         return self.to_json_dict()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "object": self.object.to_json_dict(),
-            "trigger": {
-                "loc": self.trigger_loc,
-                "change": self.trigger_kind.value,
-                "datetime": format_rfc3339(self.trigger_datetime),
-            },
-            "mode": self.mode.value,
-            "filter_tag": self.filter_tag,
-            "fetches": [f.to_json_dict() for f in self.fetches],
-            "completeness": self.completeness.to_json_dict(),
-            "bibliography": self.bibliography.to_json_dict(),
-            "substance": self.substance.to_json_dict(),
-            "tombstone": self.tombstone,
-            "created_at": format_rfc3339(self.created_at),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "IngestRecord":
-        trigger = data["trigger"]
-        return cls(
-            object=ScholarlyObject.from_json_dict(data["object"]),
-            trigger_loc=trigger["loc"],
-            trigger_kind=ChangeKind(trigger["change"]),
-            trigger_datetime=parse_rfc3339(trigger["datetime"]),
-            mode=IngestMode(data["mode"]),
-            completeness=CompletenessReport.from_json_dict(data["completeness"]),
-            bibliography=BibliographyReport.from_json_dict(data["bibliography"]),
-            substance=SubstanceReport.from_json_dict(data["substance"]),
-            fetches=tuple(FetchSummary.from_json_dict(f) for f in data.get("fetches", ())),
-            filter_tag=data.get("filter_tag"),
-            tombstone=data.get("tombstone", False),
-            created_at=parse_rfc3339(data["created_at"]),
-            schema_version=data.get("schema_version", 1),
-        )
 
 
 # --------------------------------------------------------- persistence
@@ -524,7 +395,7 @@ class IngestStore:
                     IngestRecord.from_json_dict(
                         json.loads(path.read_text(encoding="utf-8"))
                     )
-                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                except DECODE_ERRORS as exc:
                     problems.append(f"record {directory.name}/{path.name}: {exc}")
         return problems
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 from urllib.parse import urlsplit
 
+from .codec import OMIT, Record
 from .fixity import FixityInfo
 from .links import (
     COLLECTION,
@@ -128,7 +129,7 @@ DEFAULT_POLICY = ResourcePolicy()
 
 
 @dataclass(frozen=True)
-class ResourceDescriptor:
+class ResourceDescriptor(Record):
     """One web resource in its role within a scholarly object.
 
     ``links`` holds the resource's own observed links when it was
@@ -138,53 +139,18 @@ class ResourceDescriptor:
 
     uri: str
     role: ResourceRole
-    media_type: str | None = None
-    sem_type: str | None = None
-    profile: str | None = None
-    fixity: FixityInfo | None = None
-    links: LinkSet | None = None
-
-    def to_json_dict(self) -> dict:
-        d: dict = {"uri": self.uri, "role": self.role.value}
-        if self.media_type is not None:
-            d["media_type"] = self.media_type
-        if self.sem_type is not None:
-            d["sem_type"] = self.sem_type
-        if self.profile is not None:
-            d["profile"] = self.profile
-        if self.fixity is not None:
-            d["fixity"] = {
-                "algorithm": self.fixity.algorithm,
-                "digest": self.fixity.digest,
-                "length": self.fixity.length,
-            }
-        if self.links is not None:
-            d["links"] = link_set_to_json(self.links)
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ResourceDescriptor":
-        fixity = None
-        if "fixity" in d:
-            fixity = FixityInfo(
-                algorithm=d["fixity"]["algorithm"],
-                digest=d["fixity"]["digest"],
-                length=d["fixity"].get("length"),
-            )
-        links = link_set_from_json(d["links"]) if "links" in d else None
-        return cls(
-            uri=d["uri"],
-            role=ResourceRole(d["role"]),
-            media_type=d.get("media_type"),
-            sem_type=d.get("sem_type"),
-            profile=d.get("profile"),
-            fixity=fixity,
-            links=links,
-        )
+    media_type: str | None = field(default=None, metadata=OMIT)
+    sem_type: str | None = field(default=None, metadata=OMIT)
+    profile: str | None = field(default=None, metadata=OMIT)
+    fixity: FixityInfo | None = field(default=None, metadata=OMIT)
+    links: LinkSet | None = field(
+        default=None,
+        metadata={**OMIT, "encode": link_set_to_json, "decode": link_set_from_json},
+    )
 
 
 @dataclass(frozen=True)
-class ScholarlyObject:
+class ScholarlyObject(Record):
     """An object's web boundary: entry page, publication resources,
     bibliographic resources, identifying URI.
 
@@ -198,44 +164,11 @@ class ScholarlyObject:
     bibliographic_resources: tuple[ResourceDescriptor, ...] = ()
     identifying_uri: str | None = None
     pattern: PatternId | None = None
-    failures: tuple[tuple[str, str], ...] = ()
+    failures: tuple[tuple[str, str], ...] = field(default=(), metadata=OMIT)
 
     @property
     def publication_uris(self) -> tuple[str, ...]:
         return tuple(d.uri for d in self.publication_resources)
-
-    def to_json_dict(self) -> dict:
-        d: dict = {
-            "entry_page": self.entry_page.to_json_dict(),
-            "publication_resources": [
-                r.to_json_dict() for r in self.publication_resources
-            ],
-            "bibliographic_resources": [
-                r.to_json_dict() for r in self.bibliographic_resources
-            ],
-            "identifying_uri": self.identifying_uri,
-            "pattern": self.pattern.value if self.pattern else None,
-        }
-        if self.failures:
-            d["failures"] = [[uri, reason] for uri, reason in self.failures]
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ScholarlyObject":
-        return cls(
-            entry_page=ResourceDescriptor.from_json_dict(d["entry_page"]),
-            publication_resources=tuple(
-                ResourceDescriptor.from_json_dict(r)
-                for r in d.get("publication_resources", [])
-            ),
-            bibliographic_resources=tuple(
-                ResourceDescriptor.from_json_dict(r)
-                for r in d.get("bibliographic_resources", [])
-            ),
-            identifying_uri=d.get("identifying_uri"),
-            pattern=PatternId(d["pattern"]) if d.get("pattern") else None,
-            failures=tuple((u, r) for u, r in d.get("failures", [])),
-        )
 
 
 class ViolationKind(enum.Enum):

@@ -259,31 +259,36 @@ def random_bib_record(rng: random.Random) -> "BibRecord":
     )
 
 
-def random_ingest_record(rng: random.Random) -> "IngestRecord":
-    from sgp.bibliography import Discrepancy, ReconciliationReport, Severity
-    from sgp.harvester import (
-        BibliographyReport,
-        CompletenessReport,
-        FetchSummary,
-        IngestMode,
-        IngestRecord,
-        SubstanceReport,
+def random_discrepancy(rng: random.Random) -> "Discrepancy":
+    from sgp.bibliography import Discrepancy, Severity
+
+    return Discrepancy(
+        field=rng.choice(["title", "doi", "year", "volume", "pages"]),
+        left=random_param_value(rng),
+        right=random_param_value(rng),
+        severity=rng.choice(list(Severity)),
     )
+
+
+def random_reconciliation_report(
+    rng: random.Random, matched: bool | None = None
+) -> "ReconciliationReport":
+    from sgp.bibliography import ReconciliationReport
+
+    if matched is None:
+        matched = rng.random() < 0.5
+    discrepancies = tuple(random_discrepancy(rng) for _ in range(rng.randint(0, 3)))
+    return ReconciliationReport(matched=matched, discrepancies=discrepancies)
+
+
+def random_bibliography_report(rng: random.Random) -> "BibliographyReport":
+    from sgp.harvester import BibliographyReport
 
     matched: bool | None = rng.choice([True, False, None])
     report = None
     if matched is not None:
-        discrepancies = tuple(
-            Discrepancy(
-                field=rng.choice(["title", "doi", "year", "volume", "pages"]),
-                left=random_param_value(rng),
-                right=random_param_value(rng),
-                severity=rng.choice(list(Severity)),
-            )
-            for _ in range(rng.randint(0, 3))
-        )
-        report = ReconciliationReport(matched=matched, discrepancies=discrepancies)
-    bibliography = BibliographyReport(
+        report = random_reconciliation_report(rng, matched)
+    return BibliographyReport(
         matched=matched,
         report=report,
         record=random_bib_record(rng) if rng.random() < 0.7 else None,
@@ -292,7 +297,12 @@ def random_ingest_record(rng: random.Random) -> "IngestRecord":
             for _ in range(rng.randint(0, 2))
         ),
     )
-    completeness = CompletenessReport(
+
+
+def random_completeness_report(rng: random.Random) -> "CompletenessReport":
+    from sgp.harvester import CompletenessReport
+
+    return CompletenessReport(
         passed=rng.random() < 0.7,
         violations=tuple(
             f"{rng.choice(['major', 'minor'])}: missing-back-link at {random_uri(rng)}"
@@ -303,17 +313,28 @@ def random_ingest_record(rng: random.Random) -> "IngestRecord":
             for _ in range(rng.randint(0, 2))
         ),
     )
-    substance = SubstanceReport(
+
+
+def random_substance_report(rng: random.Random) -> "SubstanceReport":
+    from sgp.harvester import SubstanceReport
+
+    return SubstanceReport(
         passed=rng.random() < 0.8,
         configured=rng.random() < 0.5,
         notes=tuple(f"pdf: {rng.randint(0, 3)} of >= 1" for _ in range(rng.randint(0, 2))),
     )
-    from sgp.resourcesync import ChangeKind as _Kind
 
+
+def random_ingest_record(rng: random.Random) -> "IngestRecord":
+    from sgp.harvester import IngestMode, IngestRecord
+
+    bibliography = random_bibliography_report(rng)
+    completeness = random_completeness_report(rng)
+    substance = random_substance_report(rng)
     return IngestRecord(
         object=random_scholarly_object(rng),
         trigger_loc=random_uri(rng),
-        trigger_kind=rng.choice(list(_Kind)),
+        trigger_kind=rng.choice(list(ChangeKind)),
         trigger_datetime=random_datetime(rng),
         mode=rng.choice(list(IngestMode)),
         completeness=completeness,
@@ -323,6 +344,71 @@ def random_ingest_record(rng: random.Random) -> "IngestRecord":
         filter_tag=rng.choice(["journals", "data", None]),
         tombstone=rng.random() < 0.1,
         created_at=random_datetime(rng),
+    )
+
+
+def random_substance_rule(rng: random.Random) -> "SubstanceRule":
+    from sgp.harvester import SubstanceRule
+
+    return SubstanceRule(*(rng.choice([0, 0, 1, 3, 10_000]) for _ in range(4)))
+
+
+def random_substance_policy(rng: random.Random) -> "SubstancePolicy":
+    from sgp.harvester import SubstancePolicy
+
+    tags = rng.sample(["journals", "data", "theses", "x y", ""], k=rng.randint(0, 3))
+    return SubstancePolicy(
+        rules=tuple((tag, random_substance_rule(rng)) for tag in tags),
+        default=random_substance_rule(rng) if rng.random() < 0.5 else None,
+    )
+
+
+def random_fixture_spec(rng: random.Random) -> FixtureSpec:
+    from sgp.fixtures import ABLATION_KEYS
+
+    spec = rng.choice([plos_spec, landing_spec])(pdf_bytes=rng.randint(0, 4096))
+    return replace(
+        spec,
+        assets=tuple(
+            replace(asset, pad_to=rng.choice([None, 0, rng.randint(1, 9999)]))
+            for asset in spec.assets
+        ),
+        ablations=frozenset(rng.sample(sorted(ABLATION_KEYS), k=rng.randint(0, 3))),
+        status_scripts=tuple(
+            (f"/p{rng.randint(0, 9)}", tuple(rng.choice([200, 404, 429, 500, 503])
+                                             for _ in range(rng.randint(0, 3))))
+            for _ in range(rng.randint(0, 2))
+        ),
+    )
+
+
+def random_check_result(rng: random.Random, check_id: str | None = None) -> "CheckResult":
+    from sgp.auditor import RECOMMENDATIONS, CheckResult, Verdict
+
+    verdict = rng.choice(list(Verdict))
+    # a pass or a fail needs evidence
+    least = 0 if verdict is Verdict.NOT_APPLICABLE else 1
+    evidence = tuple(
+        (random_uri(rng), rng.choice(["fine", "no item links", "HTTP 404"]))
+        for _ in range(rng.randint(least, 3))
+    )
+    return CheckResult(
+        check_id=check_id or rng.choice(sorted(RECOMMENDATIONS)),
+        verdict=verdict,
+        evidence=evidence,
+        warnings=tuple(f"item link without sem-type: {random_uri(rng)}"
+                       for _ in range(rng.randint(0, 2))),
+    )
+
+
+def random_audit_report(rng: random.Random) -> "AuditReport":
+    from sgp.auditor import RECOMMENDATIONS, AuditReport
+
+    checks = rng.sample(sorted(RECOMMENDATIONS), k=rng.randint(1, len(RECOMMENDATIONS)))
+    return AuditReport(
+        target=random_uri(rng),
+        results=tuple(random_check_result(rng, check_id) for check_id in checks),
+        generated_at=random_datetime(rng),
     )
 
 

@@ -842,3 +842,24 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "resolve" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, document",
+        [
+            (["harvest", "--feed", "http://127.0.0.1:9/f.xml", "--store", "s", "--policy"],
+             {"rules": []}),
+            (["feed", "emit", "--object"],
+             {"entry_page": {"uri": "http://x.example/e", "role": "entry-page", "links": None}}),
+            (["feed", "emit", "--object"],
+             {"entry_page": {"uri": "http://x.example/e", "role": "entry-page",
+                             "fixity": {"algorithm": 5, "digest": "00"}}}),
+        ],
+        ids=["policy-rules-a-list", "object-links-null", "object-fixity-algorithm-a-number"],
+    )
+    def test_wrong_typed_json_file_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, command, document
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("input.json").write_text(json.dumps(document))
+        assert run([*command, "input.json"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: cannot load ")

@@ -16,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from sgp.auditor import AuditReport
 from sgp.bibliography import ReconciliationReport
+from sgp.codec import SCHEMA_VERSION
 from sgp.fixtures import FixtureSpec
 from sgp.harvester import IngestRecord, SubstancePolicy
 from sgp.resources import ScholarlyObject
@@ -24,6 +26,7 @@ from sgp.resources import ScholarlyObject
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 CLASSES = {
+    "audit_report.json": AuditReport,
     "reconcile_report.json": ReconciliationReport,
     "record_harvested_plos.json": IngestRecord,
     "record_random_author_without_given.json": IngestRecord,
@@ -44,5 +47,9 @@ def test_golden_file_is_written_again_byte_for_byte(name):
     document = CLASSES[name].from_json_dict(data).to_json_dict()
     if name.startswith("resolve_"):
         # `sgp resolve` puts the schema version beside the object
-        document = {"schema_version": 1, **document}
+        document = {"schema_version": SCHEMA_VERSION, **document}
     assert json.dumps(document, sort_keys=True) + "\n" == text
+
+
+def test_every_golden_file_is_read():
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(CLASSES)

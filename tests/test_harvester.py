@@ -13,10 +13,13 @@ import zipfile
 import pytest
 import requests
 
+import gen
 from gen import random_ingest_record
+from sgp.auditor import AuditReport, CheckResult
+from sgp.bibliography import BibRecord, Discrepancy, ReconciliationReport
 from sgp.crossref import CrossRefClient
 from sgp.fixity import FixityInfo
-from sgp.fixtures import FixtureSpec, degrade, landing_spec, plos_spec, serve
+from sgp.fixtures import AssetSpec, FixtureSpec, degrade, landing_spec, plos_spec, serve
 from sgp.harvester import (
     BibliographyReport,
     CompletenessReport,
@@ -1018,6 +1021,21 @@ class TestStore:
         assert len(problems) == 1
         assert "k/0001.json" in problems[0]
 
+    def test_fsck_flags_records_missing_a_required_field(self, tmp_path):
+        # created_at has a default factory: a record without one is a
+        # problem, not a record stamped with the time fsck read it
+        store = IngestStore(tmp_path)
+        for key, missing in (("a", "created_at"), ("b", "trigger")):
+            store.save_record(_synthetic_record(key=key))
+            path = store._key_dir(key) / "0001.json"
+            data = json.loads(path.read_text(encoding="utf-8"))
+            del data[missing]
+            path.write_text(json.dumps(data), encoding="utf-8")
+        assert store.fsck() == [
+            "record a/0001.json: 'created_at'",
+            "record b/0001.json: 'trigger'",
+        ]
+
     def test_fsck_reports_in_sorted_path_order(self, tmp_path):
         # the problems, in the order of a sorted recursive listing of
         # payloads/: a stray directory's files come where its name sorts
@@ -1055,17 +1073,41 @@ class TestStore:
             IngestStore(blocker / "store")
 
 
+# every class the record codec writes, with a generator of its values
+_CODEC_TYPES = [
+    (IngestRecord, random_ingest_record),
+    (ScholarlyObject, gen.random_scholarly_object),
+    (ResourceDescriptor, lambda rng: gen.random_descriptor(rng, rng.choice(list(ResourceRole)))),
+    (FetchSummary, gen.random_fetch_summary),
+    (CompletenessReport, gen.random_completeness_report),
+    (BibliographyReport, gen.random_bibliography_report),
+    (SubstanceReport, gen.random_substance_report),
+    (SubstanceRule, gen.random_substance_rule),
+    (SubstancePolicy, gen.random_substance_policy),
+    (BibRecord, gen.random_bib_record),
+    (Discrepancy, gen.random_discrepancy),
+    (ReconciliationReport, gen.random_reconciliation_report),
+    (AssetSpec, lambda rng: rng.choice(gen.random_fixture_spec(rng).assets)),
+    (FixtureSpec, gen.random_fixture_spec),
+    (CheckResult, gen.random_check_result),
+    (AuditReport, gen.random_audit_report),
+]
+
+
 class TestRecordRoundTrip:
     def test_live_record_survives_json(self, harvested):
         _, record, _ = harvested
         restored = IngestRecord.from_json_dict(record.to_json_dict())
         assert restored == record
 
-    def test_random_records_survive_json(self):
+    @pytest.mark.parametrize(
+        "cls, make", _CODEC_TYPES, ids=[cls.__name__ for cls, _ in _CODEC_TYPES]
+    )
+    def test_random_records_survive_json(self, cls, make):
         rng = random.Random(20260823)
         for _ in range(200):
-            record = random_ingest_record(rng)
-            restored = IngestRecord.from_json_dict(record.to_json_dict())
+            record = make(rng)
+            restored = cls.from_json_dict(json.loads(json.dumps(record.to_json_dict())))
             assert restored == record
             assert restored.to_json_dict() == record.to_json_dict()
 
