@@ -28,7 +28,8 @@ from .rfc3339 import format_rfc3339, parse_rfc3339
 
 __all__ = ["SCHEMA_VERSION", "DECODE_ERRORS", "OMIT", "Record"]
 
-# the record format's version: in every stored record and CLI JSON document
+# the record format's version, written into every stored record and into
+# the resolve, feed parse, harvest and audit documents
 SCHEMA_VERSION = 1
 
 # what decoding JSON from outside the program raises: a missing key, a
