@@ -99,7 +99,7 @@ def _plan(cls: type) -> tuple[_Convert, _Convert]:
         ["def encode(obj):", "    out = {}", *writes, "    return out"]
         + ["def decode(data):", "    kw = {}", *reads, "    return cls(**kw)"]
     )
-    exec(code, env)
+    exec(compile(code, f"<codec {cls.__qualname__}>", "exec"), env)
     return env["encode"], env["decode"]
 
 

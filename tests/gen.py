@@ -12,7 +12,7 @@ from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 from sgp.fixity import compute_fixity
-from sgp.fixtures import FixtureSpec, landing_spec, plos_spec
+from sgp.fixtures import ABLATION_KEYS, FixtureSpec, landing_spec, plos_spec
 from sgp.links import LinkAttributes, LinkSet, RelationType, TypedLink
 from sgp.resourcesync import ChangeEvent, ChangeKind, ChangeList
 from sgp.rfc3339 import format_rfc3339, parse_rfc3339
@@ -364,8 +364,6 @@ def random_substance_policy(rng: random.Random) -> "SubstancePolicy":
 
 
 def random_fixture_spec(rng: random.Random) -> FixtureSpec:
-    from sgp.fixtures import ABLATION_KEYS
-
     spec = rng.choice([plos_spec, landing_spec])(pdf_bytes=rng.randint(0, 4096))
     return replace(
         spec,
@@ -375,8 +373,10 @@ def random_fixture_spec(rng: random.Random) -> FixtureSpec:
         ),
         ablations=frozenset(rng.sample(sorted(ABLATION_KEYS), k=rng.randint(0, 3))),
         status_scripts=tuple(
-            (f"/p{rng.randint(0, 9)}", tuple(rng.choice([200, 404, 429, 500, 503])
-                                             for _ in range(rng.randint(0, 3))))
+            (
+                f"/p{rng.randint(0, 9)}",
+                tuple(rng.choice([200, 404, 429, 500, 503]) for _ in range(rng.randint(0, 3))),
+            )
             for _ in range(rng.randint(0, 2))
         ),
     )
@@ -396,8 +396,9 @@ def random_check_result(rng: random.Random, check_id: str | None = None) -> "Che
         check_id=check_id or rng.choice(sorted(RECOMMENDATIONS)),
         verdict=verdict,
         evidence=evidence,
-        warnings=tuple(f"item link without sem-type: {random_uri(rng)}"
-                       for _ in range(rng.randint(0, 2))),
+        warnings=tuple(
+            f"item link without sem-type: {random_uri(rng)}" for _ in range(rng.randint(0, 2))
+        ),
     )
 
 
