@@ -47,14 +47,14 @@ from .crossref import (
     parse_work,
 )
 from .fixtures import FixtureSpec, serve
-from .harvester import (
+from .harvester import (  # noqa: F401 - perfbench/tracing.py wraps ingest here
     IngestMode,
     IngestStore,
     StoreFailure,
     SubstancePolicy,
     ingest,
+    ingest_all,
     plan_from_feed,
-    record_tombstone,
 )
 from .links import MalformedLinkField, link_to_json
 from .navigator import HttpError, NavigationError, SignpostClient
@@ -355,24 +355,15 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
         feed = parse_change_list(client.fetch_resource(args.feed).body or b"")
         mode = IngestMode.DUMP if dump is not None else IngestMode.HARVEST
         tasks = plan_from_feed(feed, mode=mode, filter_tag=args.filter_tag, dump=dump)
-        store = IngestStore(store_dir)
-        registrar = CrossRefClient(client, api_base)
-        records = []
-        for task in tasks:
-            if task.tombstone:
-                records.append(record_tombstone(task, store))
-            else:
-                records.append(
-                    ingest(
-                        task,
-                        client,
-                        store,
-                        substance,
-                        registrar,
-                        resource_policy=policy,
-                        verify_live=args.verify_live,
-                    )
-                )
+        records = ingest_all(
+            tasks,
+            client,
+            IngestStore(store_dir),
+            substance,
+            CrossRefClient(client, api_base),
+            resource_policy=policy,
+            verify_live=args.verify_live,
+        )
     _emit_json(
         {
             "schema_version": SCHEMA_VERSION,

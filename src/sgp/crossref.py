@@ -1,11 +1,12 @@
 """Client and data model for the CrossRef works API.
 
-Read-only: per-DOI metadata, parsing of deposit listings, and
-classification of deposit entries as new registrations vs updates vs
-likely journal transfers. The client has no transport of its own: its
-requests ride the navigator, under the same politeness, retries and
-throttle as every other request. Tests run against a local fixture
-registrar; the live service is never contacted from the test suite.
+Read-only: per-DOI metadata, one works-list request for several DOIs,
+parsing of deposit listings, and classification of deposit entries as
+new registrations vs updates vs likely journal transfers. The client
+has no transport of its own: its requests ride the navigator, under the
+same politeness, retries and throttle as every other request. Tests run
+against a local fixture registrar; the live service is never contacted
+from the test suite.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 from urllib.parse import quote
 
 from .navigator import HttpError, NavigationError
@@ -41,6 +42,7 @@ __all__ = [
     "CrossRefClient",
     "normalize_doi",
     "metadata_uri_for",
+    "work_list_uri_for",
     "parse_work",
     "parse_work_list",
     "classify_deposit",
@@ -137,6 +139,17 @@ def metadata_uri_for(doi: str, api_base: str = DEFAULT_API_BASE) -> str:
     return f"{api_base.rstrip('/')}/works/{_quote_keeping_escapes(doi)}"
 
 
+def work_list_uri_for(dois: Sequence[str], api_base: str = DEFAULT_API_BASE) -> str:
+    """Works-API query for several DOIs at once: one ``doi`` filter per
+    DOI, which the API ORs, and ``rows`` enough for all of them. A DOI
+    holding ``,`` cannot be named, since ``,`` separates the filters."""
+    for doi in dois:
+        if "," in doi:
+            raise InvalidDoi(f"{doi}: a works-list filter cannot name a DOI holding ','")
+    terms = quote(",".join(f"doi:{doi}" for doi in dois), safe=":/,")
+    return f"{api_base.rstrip('/')}/works?filter={terms}&rows={len(dois)}"
+
+
 @dataclass(frozen=True)
 class PartialDate:
     year: int
@@ -145,10 +158,18 @@ class PartialDate:
 
     @classmethod
     def from_date_parts(cls, parts: Any) -> "PartialDate | None":
-        if not parts or not parts[0] or parts[0][0] is None:
+        """``[[year, month?, day?]]`` as the API writes it; ``[[null]]``
+        and an empty value mean no date."""
+        if not parts:
             return None
-        nums = [int(x) for x in parts[0][:3]]
-        return cls(*nums)
+        if not isinstance(parts, list) or not isinstance(parts[0], list):
+            raise NotAWork(f"date-parts {parts!r} is not a list of lists")
+        if not parts[0] or parts[0][0] is None:
+            return None
+        head = parts[0][:3]
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in head):
+            raise NotAWork(f"date-parts {parts!r} holds a non-integer part")
+        return cls(*head)
 
 
 @dataclass(frozen=True)
@@ -214,26 +235,49 @@ def _load_document(doc: str | bytes | dict) -> dict:
     return loaded
 
 
+def _text(message: Mapping, key: str) -> str | None:
+    value = message.get(key)
+    if value is not None and not isinstance(value, str):
+        raise NotAWork(f"{key} is not a string")
+    return value
+
+
 def _timestamp(message: Mapping, key: str) -> datetime | None:
     stamp = message.get(key)
     if not isinstance(stamp, Mapping):
         return None
-    text = stamp.get("date-time")
+    text = _text(stamp, "date-time")
     if text:
-        return parse_rfc3339(text)
+        try:
+            return parse_rfc3339(text)
+        except ValueError as exc:
+            raise NotAWork(f"{key}: {exc}") from exc
     millis = stamp.get("timestamp")
-    if millis is not None:
+    if millis is None:
+        return None
+    if not isinstance(millis, (int, float)) or isinstance(millis, bool):
+        raise NotAWork(f"{key} timestamp is not a number")
+    try:
         return datetime.fromtimestamp(millis / 1000, tz=timezone.utc).replace(
             microsecond=0
         )
-    return None
+    except (OverflowError, OSError, ValueError) as exc:
+        raise NotAWork(f"{key} timestamp {millis!r}: {exc}") from exc
 
 
 def _string_tuple(message: Mapping, key: str) -> tuple[str, ...]:
-    value = message.get(key)
-    if not isinstance(value, list):
-        return ()
-    return tuple(str(item) for item in value)
+    value = message.get(key) or []
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise NotAWork(f"{key} is not a list of strings")
+    return tuple(value)
+
+
+def _objects(message: Mapping, key: str) -> list[Mapping]:
+    """The list of objects under ``key``; absent or null is empty."""
+    value = message.get(key) or []
+    if not isinstance(value, list) or not all(isinstance(item, Mapping) for item in value):
+        raise NotAWork(f"{key} is not a list of objects")
+    return value
 
 
 def _work_from_message(message: Mapping) -> CrossRefWork:
@@ -241,50 +285,56 @@ def _work_from_message(message: Mapping) -> CrossRefWork:
     if not raw_doi:
         raise MissingDoi("work without DOI")
     authors = []
-    for entry in message.get("author", []) or []:
+    for entry in _objects(message, "author"):
         affiliations = tuple(
-            a.get("name", "") for a in entry.get("affiliation", []) if a.get("name")
+            a.get("name", "") for a in _objects(entry, "affiliation") if a.get("name")
         )
         authors.append(
             Author(
-                family=entry.get("family"),
-                given=entry.get("given"),
+                family=_text(entry, "family"),
+                given=_text(entry, "given"),
                 affiliations=affiliations,
             )
         )
     licenses = tuple(
         (item.get("URL", ""), item.get("content-version"))
-        for item in message.get("license", []) or []
+        for item in _objects(message, "license")
     )
     fulltext = tuple(
         (item.get("URL", ""), item.get("content-type"))
-        for item in message.get("link", []) or []
+        for item in _objects(message, "link")
     )
+    issued = message.get("issued")
+    if issued is not None and not isinstance(issued, Mapping):
+        raise NotAWork("issued is not an object")
     ref_count = message.get("reference-count")
+    if ref_count is not None:
+        try:
+            ref_count = int(ref_count)
+        except (TypeError, ValueError) as exc:
+            raise NotAWork(f"reference-count {ref_count!r} is not a number") from exc
     return CrossRefWork(
         doi=normalize_doi(str(raw_doi)),
-        url=message.get("URL"),
+        url=_text(message, "URL"),
         issn=_string_tuple(message, "ISSN"),
         title=_string_tuple(message, "title"),
         subtitle=_string_tuple(message, "subtitle"),
         container_title=_string_tuple(message, "container-title"),
         authors=tuple(authors),
-        publisher=message.get("publisher"),
-        member=message.get("member"),
-        prefix=message.get("prefix"),
+        publisher=_text(message, "publisher"),
+        member=_text(message, "member"),
+        prefix=_text(message, "prefix"),
         created=_timestamp(message, "created"),
         deposited=_timestamp(message, "deposited"),
         indexed=_timestamp(message, "indexed"),
-        issued=PartialDate.from_date_parts(
-            (message.get("issued") or {}).get("date-parts")
-        )
+        issued=PartialDate.from_date_parts((issued or {}).get("date-parts"))
         if "issued" in message
         else None,
-        work_type=message.get("type"),
-        reference_count=int(ref_count) if ref_count is not None else None,
-        volume=message.get("volume"),
-        issue=message.get("issue"),
-        page=message.get("page"),
+        work_type=_text(message, "type"),
+        reference_count=ref_count,
+        volume=_text(message, "volume"),
+        issue=_text(message, "issue"),
+        page=_text(message, "page"),
         license_links=licenses,
         fulltext_links=fulltext,
     )
@@ -316,9 +366,7 @@ def parse_work_list(doc: str | bytes | dict) -> WorkList:
     message = loaded.get("message")
     if not isinstance(message, Mapping):
         raise NotAWork("work-list envelope without message object")
-    items = tuple(
-        _work_from_message(item) for item in message.get("items", []) or []
-    )
+    items = tuple(_work_from_message(item) for item in _objects(message, "items"))
     return WorkList(items=items, status=status, message_type=message_type)
 
 
@@ -403,8 +451,7 @@ class CrossRefClient:
         self.nav = nav
         self.api_base = api_base.rstrip("/")
 
-    def fetch_work(self, doi: str) -> CrossRefWork:
-        url = metadata_uri_for(normalize_doi(doi), api_base=self.api_base)
+    def _get(self, url: str) -> bytes:
         try:
             result = self.nav.fetch_resource(url)
         except HttpError as exc:
@@ -416,4 +463,13 @@ class CrossRefClient:
             raise ServiceError(f"{status} for {url}", status=status) from exc
         except NavigationError as exc:
             raise ServiceError(str(exc)) from exc
-        return parse_work(result.body or b"")
+        return result.body or b""
+
+    def fetch_work(self, doi: str) -> CrossRefWork:
+        return parse_work(self._get(metadata_uri_for(normalize_doi(doi), api_base=self.api_base)))
+
+    def fetch_works(self, dois: Sequence[str]) -> dict[str, CrossRefWork]:
+        """The works for several DOIs from one works-list request, keyed
+        by normalised DOI; a DOI the list leaves out has no key."""
+        url = work_list_uri_for([normalize_doi(doi) for doi in dois], api_base=self.api_base)
+        return {work.doi: work for work in parse_work_list(self._get(url)).items}

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterable
-from urllib.parse import urlsplit
+from urllib.parse import parse_qs, urlsplit
 
 from .bibliography import BIBTEX_PROFILE, RIS_PROFILE
 from .codec import OMIT, Record
@@ -679,12 +679,42 @@ class FixtureEndpoint:
             return None
         return statuses[index]
 
+    def _work_list(self, query: str) -> _Response:
+        """The works API's list route for ``filter=doi:A,doi:B,...``: the
+        served works whose DOI is named, case ignored, at most ``rows``
+        of them (20 when not given, as the API's default)."""
+        params = parse_qs(query)
+        terms = [term for value in params.get("filter", []) for term in value.split(",")]
+        if not all(term.startswith("doi:") for term in terms):
+            return _Response(400, (("Content-Type", "text/plain"),), b"only doi filters\n")
+        try:
+            rows = int(params.get("rows", ["20"])[0])
+        except ValueError:
+            return _Response(400, (("Content-Type", "text/plain"),), b"bad rows\n")
+        wanted = {term[len("doi:") :].lower() for term in terms}
+        matching = [
+            view.work_json_dict() for view in self.views if view.spec.doi.lower() in wanted
+        ]
+        doc = {
+            "message": {
+                "items": matching[: max(rows, 0)],
+                "items-per-page": rows,
+                "total-results": len(matching),
+            },
+            "message-type": "work-list",
+            "message-version": "1.0.0",
+            "status": "ok",
+        }
+        body = json.dumps(doc, sort_keys=True, indent=1).encode("utf-8")
+        return _Response(200, (("Content-Type", "application/json"),), body)
+
     def _link_header(self, links: Iterable[TypedLink]) -> tuple[tuple[str, str], ...]:
         value = serialize_link_field(links)
         return (("Link", value),) if value else ()
 
     def _route(self, raw_path: str) -> _Response:
-        path = urlsplit(raw_path).path
+        parts = urlsplit(raw_path)
+        path = parts.path
         scripted = self._scripted_status(path)
         if scripted is not None and scripted != 200:
             headers = (("Retry-After", "0"),) if scripted in (429, 503) else ()
@@ -694,6 +724,8 @@ class FixtureEndpoint:
             response = view.route(path, self._link_header)
             if response is not None:
                 return response
+        if path == "/works":
+            return self._work_list(parts.query)
         if path == "/registrar/changelist.xml":
             return _Response(
                 200, (("Content-Type", "application/xml"),), self._registrar_feed_body()

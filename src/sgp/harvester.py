@@ -23,7 +23,7 @@ from datetime import datetime
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 from urllib.parse import quote, unquote, urlsplit
 
 from .bibliography import (
@@ -37,7 +37,14 @@ from .bibliography import (
     reconcile,
 )
 from .codec import DECODE_ERRORS, OMIT, SCHEMA_VERSION, Record
-from .crossref import CROSSREF_PROFILE, CrossRefError, InvalidDoi, MalformedJson, normalize_doi
+from .crossref import (
+    CROSSREF_PROFILE,
+    CrossRefError,
+    CrossRefWork,
+    InvalidDoi,
+    MalformedJson,
+    normalize_doi,
+)
 from .fixity import (
     FixityInfo,
     FixityVerdict,
@@ -86,6 +93,8 @@ __all__ = [
     "UnknownKey",
     "plan_from_feed",
     "ingest",
+    "ingest_all",
+    "REGISTRAR_WINDOW",
     "record_tombstone",
     "pack_object_dump",
 ]
@@ -524,6 +533,54 @@ def _base_record(
     )
 
 
+# at most this many tasks wait for one works-list request
+REGISTRAR_WINDOW = 100
+
+
+def ingest_all(
+    tasks: Sequence[IngestTask],
+    nav,
+    store: IngestStore,
+    policy: SubstancePolicy | None = None,
+    registrar=None,
+    *,
+    resource_policy: ResourcePolicy = DEFAULT_POLICY,
+    verify_live: bool = False,
+) -> list[IngestRecord]:
+    """Run every task, tombstones included, and persist the outcomes in
+    task order.
+
+    Tasks go in windows of at most ``REGISTRAR_WINDOW``. Each task of a
+    window is gathered first: boundary, payloads, publisher metadata.
+    Then one works-list request looks up, through ``registrar``, every
+    DOI the window's live tasks still need (see ``_registrar_lookup``),
+    and each record is finished and saved in order. A harvest task reads
+    its bytes over HTTP through ``nav``; a dump task reads them from
+    ``task.dump`` and makes no registrar lookup, so a replay stays
+    offline unless ``verify_live`` asks ``nav`` to check the dump's
+    boundary against the live one. Per-resource trouble is recorded in
+    the returned records, not raised; only store trouble (and misuse,
+    like a dump task without a dump) raises.
+    """
+    records: list[IngestRecord] = []
+    for start in range(0, len(tasks), REGISTRAR_WINDOW):
+        window = tasks[start : start + REGISTRAR_WINDOW]
+        gathered = [
+            _tombstone(task)
+            if task.tombstone
+            else _gather(task, nav, store, policy, registrar, resource_policy, verify_live)
+            for task in window
+        ]
+        lookup = _registrar_lookup(
+            registrar, [g.doi for g in gathered if isinstance(g, _Gathered)]
+        )
+        for got in gathered:
+            record = got if isinstance(got, IngestRecord) else _finish(got, lookup)
+            store.save_record(record)
+            records.append(record)
+    return records
+
+
 def ingest(
     task: IngestTask,
     nav,
@@ -534,33 +591,44 @@ def ingest(
     resource_policy: ResourcePolicy = DEFAULT_POLICY,
     verify_live: bool = False,
 ) -> IngestRecord:
-    """Run one task end to end and persist the outcome.
-
-    A harvest task reads its bytes over HTTP through ``nav``; a dump task
-    reads them from ``task.dump`` and makes no registrar lookup, so a
-    replay stays offline unless ``verify_live`` asks ``nav`` to check
-    the dump's boundary against the live one. Per-resource trouble is
-    recorded in the returned record, not raised; only store trouble (and
-    misuse, like passing a tombstone) raises.
-    """
+    """Run one task end to end and persist the outcome: ``ingest_all``
+    with a window of one, so a registrar lookup is one ``fetch_work``."""
     if task.tombstone:
         raise ValueError("tombstone tasks are recorded, not ingested")
+    (record,) = ingest_all(
+        [task],
+        nav,
+        store,
+        policy,
+        registrar,
+        resource_policy=resource_policy,
+        verify_live=verify_live,
+    )
+    return record
+
+
+def _gather(
+    task: IngestTask,
+    nav,
+    store: IngestStore,
+    policy: SubstancePolicy | None,
+    registrar,
+    resource_policy: ResourcePolicy,
+    verify_live: bool,
+) -> IngestRecord | _Gathered:
     if task.mode is IngestMode.HARVEST:
         source = _LiveSource(nav, task.trigger)
-        record = _ingest(task, source, store, policy, registrar, resource_policy)
-    else:
-        if task.dump is None:
-            raise ValueError("dump-mode task without dump bytes")
-        opened = (
-            contextlib.nullcontext(task.dump)
-            if isinstance(task.dump, ChangeDumpIndex)
-            else ChangeDumpIndex(io.BytesIO(task.dump))
-        )
-        with opened as index:
-            source = _DumpSource(index, task.trigger, nav if verify_live else None)
-            record = _ingest(task, source, store, policy, None, resource_policy)
-    store.save_record(record)
-    return record
+        return _collect(task, source, store, policy, registrar, resource_policy)
+    if task.dump is None:
+        raise ValueError("dump-mode task without dump bytes")
+    opened = (
+        contextlib.nullcontext(task.dump)
+        if isinstance(task.dump, ChangeDumpIndex)
+        else ChangeDumpIndex(io.BytesIO(task.dump))
+    )
+    with opened as index:
+        source = _DumpSource(index, task.trigger, nav if verify_live else None)
+        return _collect(task, source, store, policy, None, resource_policy)
 
 
 class _Got(NamedTuple):
@@ -691,14 +759,31 @@ def _bibliography_verdict(
     return BibliographyReport(matched=None, notes=tuple(notes))
 
 
-def _ingest(
+class _Gathered(NamedTuple):
+    """One task's outcome short of its works-API lookup of ``doi``. It
+    holds verdicts and parsed records, never payload bytes, so a window
+    of them stays small. ``notes`` are the publisher metadata's."""
+
+    task: IngestTask
+    obj: ScholarlyObject
+    fetches: list[FetchSummary]
+    completeness: CompletenessReport
+    substance: SubstanceReport
+    publisher_record: BibRecord | None
+    notes: list[str]
+    doi: str
+
+
+def _collect(
     task: IngestTask,
     source: _LiveSource | _DumpSource,
     store: IngestStore,
     policy: SubstancePolicy | None,
     registrar,
     resource_policy: ResourcePolicy,
-) -> IngestRecord:
+) -> IngestRecord | _Gathered:
+    """Everything but the works-API lookup: a record when none is
+    needed, else what ``_finish`` completes once the lookup is made."""
     trigger = task.trigger
     fetches: list[FetchSummary] = []
     failures: list[tuple[str, str]] = []
@@ -762,6 +847,7 @@ def _ingest(
         fetch(desc.uri, desc.media_type)
 
     registrar_record: BibRecord | None = None
+    doi: str | None = None
     works_target = _registrar_target(obj)
     if works_target is not None:
         summary = fetch(works_target, "application/json")
@@ -776,12 +862,7 @@ def _ingest(
             notes.append(f"registrar metadata fetch failed: {works_target}")
     elif registrar is not None and obj.identifying_uri:
         doi = _doi_from_identifying(obj.identifying_uri, resource_policy)
-        if doi is not None:
-            try:
-                registrar_record = from_crossref(registrar.fetch_work(doi))
-            except (CrossRefError, MalformedEntry, ValueError) as exc:
-                notes.append(f"registrar lookup failed for {doi}: {exc}")
-        else:
+        if doi is None:
             notes.append("identifying URI yields no registry identifier")
     else:
         notes.append("no registrar metadata link")
@@ -807,19 +888,68 @@ def _ingest(
         except MalformedEntry as exc:
             notes.append(f"publisher metadata unreadable at {bib.uri}: {exc}")
 
+    completeness = _completeness(obj, fetches, failures, resource_policy)
+    substance = _substance(tuple(fetches), task.filter_tag, policy)
+    if doi is not None:
+        return _Gathered(
+            task, obj, fetches, completeness, substance, publisher_record, notes, doi
+        )
     return _base_record(
         task,
         obj,
         fetches,
-        _completeness(obj, fetches, failures, resource_policy),
+        completeness,
         _bibliography_verdict(registrar_record, publisher_record, notes),
-        _substance(tuple(fetches), task.filter_tag, policy),
+        substance,
+    )
+
+
+def _registrar_lookup(registrar, dois: list[str]) -> Callable[[str], CrossRefWork]:
+    """``doi -> work`` for one window. One works-list request answers
+    every DOI it can name; ``fetch_work`` answers the rest one by one: a
+    lone DOI, a DOI holding ``,``, one the list leaves out, and all of
+    them when the list request fails. Each DOI thus ends with the work,
+    or the error, that its own lookup gives."""
+    listed = [doi for doi in dict.fromkeys(dois) if "," not in doi]
+    works: dict[str, CrossRefWork] = {}
+    if len(listed) > 1:
+        with contextlib.suppress(CrossRefError, ValueError):
+            works = registrar.fetch_works(listed)
+
+    def lookup(doi: str) -> CrossRefWork:
+        work = works.get(doi)
+        return work if work is not None else registrar.fetch_work(doi)
+
+    return lookup
+
+
+def _finish(gathered: _Gathered, lookup: Callable[[str], CrossRefWork]) -> IngestRecord:
+    registrar_record: BibRecord | None = None
+    notes = gathered.notes
+    try:
+        registrar_record = from_crossref(lookup(gathered.doi))
+    except (CrossRefError, MalformedEntry, ValueError) as exc:
+        # the registrar's note comes before the publisher metadata's
+        notes.insert(0, f"registrar lookup failed for {gathered.doi}: {exc}")
+    return _base_record(
+        gathered.task,
+        gathered.obj,
+        gathered.fetches,
+        gathered.completeness,
+        _bibliography_verdict(registrar_record, gathered.publisher_record, notes),
+        gathered.substance,
     )
 
 
 def record_tombstone(task: IngestTask, store: IngestStore) -> IngestRecord:
     """Mark an object deleted. Payloads stay; only the record history
     says the publisher withdrew it."""
+    record = _tombstone(task)
+    store.save_record(record)
+    return record
+
+
+def _tombstone(task: IngestTask) -> IngestRecord:
     if not task.tombstone:
         raise ValueError("not a tombstone task")
     trigger = task.trigger
@@ -828,7 +958,7 @@ def record_tombstone(task: IngestTask, store: IngestStore) -> IngestRecord:
         if trigger.links
         else _minimal_object(trigger.loc)
     )
-    record = replace(
+    return replace(
         _base_record(
             task,
             obj,
@@ -839,8 +969,6 @@ def record_tombstone(task: IngestTask, store: IngestStore) -> IngestRecord:
         ),
         tombstone=True,
     )
-    store.save_record(record)
-    return record
 
 
 # --------------------------------------------------------- dump building

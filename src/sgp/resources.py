@@ -48,14 +48,12 @@ __all__ = [
     "SEM_ARTICLE",
     "SEM_DATASET",
     "SEM_OBJECT_FILE",
-    "SEM_METADATA",
     "SEM_START_PAGE",
 ]
 
 SEM_ARTICLE = "info:eu-repo/semantics/article"
 SEM_DATASET = "info:eu-repo/semantics/dataset"
 SEM_OBJECT_FILE = "info:eu-repo/semantics/objectFile"
-SEM_METADATA = "info:eu-repo/semantics/descriptiveMetadata"
 SEM_START_PAGE = "info:eu-repo/semantics/humanStartPage"
 
 _SELF_CONTENT = {SEM_ARTICLE, SEM_DATASET}

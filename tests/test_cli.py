@@ -1,5 +1,6 @@
 """Tests for the command line: exit codes, output streams, settings."""
 
+import contextlib
 import dataclasses
 import json
 import signal
@@ -380,6 +381,87 @@ class TestHarvest:
         assert len(acquired) == len(log)
 
 
+@contextlib.contextmanager
+def _works_api(messages: dict):
+    """A works API serving ``messages`` (DOI -> work message): each at
+    ``/works/<doi>``, and all of them as the items of any ``/works?...``
+    list; yields its base URI."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            path, _, query = self.path.partition("?")
+            if query:
+                doc = {"message-type": "work-list", "message": {"items": list(messages.values())}}
+            else:
+                doc = {"message-type": "work", "message": messages[path[len("/works/") :]]}
+            body = json.dumps({"status": "ok", **doc}).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+class TestHarvestRegistrarLookups:
+    """Objects without a registrar describedby link get their registrar
+    record from the works API, one list request for the whole feed."""
+
+    @staticmethod
+    def _harvest(ep, store, api_base):
+        return run(
+            ["harvest", "--feed", ep.publisher_feed_uri, "--store", str(store), "--api-base", api_base]
+        )
+
+    def test_one_list_request_for_a_multi_object_feed(self, tmp_path, capsys):
+        specs = [degrade(spec, "no-entry-describedby") for spec in distinct_specs(4)]
+        with serve(*specs) as ep:
+            rc = self._harvest(ep, tmp_path / "store", ep.base_uri)
+            works = [e.path for e in ep.log() if e.path.startswith("/works")]
+        payload, err = _out_json(capsys)
+        assert rc == 0, err
+        assert len(works) == 1
+        assert works[0].startswith("/works?filter=")
+        assert works[0].endswith("&rows=4")
+        records = payload["records"]
+        assert sorted(r["bibliography"]["record"]["doi"] for r in records) == sorted(
+            spec.doi for spec in specs
+        )
+        assert all(
+            r["bibliography"]["notes"] == ["publisher metadata unavailable; registrar record kept"]
+            for r in records
+        )
+
+    def test_hostile_registrar_json_is_a_note(self, tmp_path, capsys):
+        specs = [degrade(spec, "no-entry-describedby") for spec in distinct_specs(2)]
+        with serve(*specs) as ep:
+            messages = {view.spec.doi: view.work_json_dict() for view in ep.views}
+            hostile = specs[1].doi
+            messages[hostile]["author"] = ["x"]
+            with _works_api(messages) as api:
+                rc = self._harvest(ep, tmp_path / "store", api)
+        payload, err = _out_json(capsys)
+        assert rc == 0, err
+        by_doi = {r["trigger"]["loc"]: r["bibliography"] for r in payload["records"]}
+        good, bad = (by_doi[view.entry_uri] for view in ep.views)
+        assert good["record"]["doi"] == specs[0].doi
+        assert bad["record"] is None
+        assert bad["notes"] == [
+            f"registrar lookup failed for {hostile}: author is not a list of objects",
+            "no bibliographic metadata found",
+        ]
+
+
 def _dump_of(ep) -> bytes:
     """One change dump holding every object the endpoint serves."""
     client = SignpostClient()
@@ -428,13 +510,13 @@ class TestHarvestDump:
 
         monkeypatch.setattr(resourcesync, "_parse_urlset", counting)
         tasks = []
-        ingest = cli.ingest
+        ingest_all = cli.ingest_all
 
-        def spying(task, *args, **kwargs):
-            tasks.append(task)
-            return ingest(task, *args, **kwargs)
+        def spying(batch, *args, **kwargs):
+            tasks.extend(batch)
+            return ingest_all(batch, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "ingest", spying)
+        monkeypatch.setattr(cli, "ingest_all", spying)
         rc = self._harvest(ep, dump_path, tmp_path / "store")
         payload, err = _out_json(capsys)
         assert rc == 0, err
@@ -625,10 +707,11 @@ _NOT_WORKS = {
     ).encode(),
     "no-doi": _envelope({"title": ["A title"]}),
     "bad-doi": _envelope({"DOI": "junk", "title": ["A title"]}),
+    "author-not-object": _envelope({"DOI": DOI, "title": ["A title"], "author": ["x"]}),
     # a work, but not one a record can be built from
     "no-title": _envelope({"DOI": DOI}),
 }
-_NO_WORK_AT_ALL = ["html", "work-list", "no-doi", "bad-doi"]
+_NO_WORK_AT_ALL = ["html", "work-list", "no-doi", "bad-doi", "author-not-object"]
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from sgp.crossref import (
     CrossRefClient,
     CrossRefWork,
     DepositCategory,
+    PartialDate,
     InvalidDoi,
     MalformedJson,
     MissingDoi,
@@ -24,6 +25,7 @@ from sgp.crossref import (
     normalize_doi,
     parse_work,
     parse_work_list,
+    work_list_uri_for,
 )
 from sgp.navigator import PolitenessPolicy, SignpostClient
 
@@ -98,6 +100,18 @@ class TestMetadataUri:
     def test_custom_base_trailing_slash(self):
         uri = metadata_uri_for("10.5/x", api_base="http://localhost:9999/api/")
         assert uri == "http://localhost:9999/api/works/10.5/x"
+
+    def test_work_list_names_every_doi(self):
+        uri = work_list_uri_for(["10.5/a", "10.5/B"], api_base="http://localhost:9/")
+        assert uri == "http://localhost:9/works?filter=doi:10.5/a,doi:10.5/B&rows=2"
+
+    def test_work_list_encodes_what_a_query_reserves(self):
+        uri = work_list_uri_for(["10.5/a&b+c d#e%41"])
+        assert uri.endswith("?filter=doi:10.5/a%26b%2Bc%20d%23e%2541&rows=1")
+
+    def test_work_list_cannot_name_a_doi_with_a_comma(self):
+        with pytest.raises(InvalidDoi):
+            work_list_uri_for(["10.5/a", "10.5/b,c"])
 
     @given(st.text(min_size=1, max_size=30))
     @settings(max_examples=200)
@@ -191,6 +205,61 @@ class TestParseWork:
         assert work.reference_count is None
         assert work.license_links == ()
         assert work.fulltext_links == ()
+
+
+# a work message that parses, and wrong-typed values a hostile API might
+# put in it; each must give NotAWork, never a TypeError or AttributeError
+_GOOD = {"DOI": "10.5/x", "title": ["T"], "issued": {"date-parts": [[2014, 12]]}}
+_HOSTILE = {
+    "author-not-object": {"author": ["x"]},
+    "author-not-list": {"author": "Doe"},
+    "affiliation-not-object": {"author": [{"family": "Doe", "affiliation": ["Uni"]}]},
+    "family-not-string": {"author": [{"family": 5}]},
+    "license-not-object": {"license": ["http://x.example/l"]},
+    "link-not-object": {"link": [None]},
+    "issued-not-object": {"issued": [2014]},
+    "date-parts-a-string": {"issued": {"date-parts": "2014"}},
+    "date-parts-flat": {"issued": {"date-parts": [2014, 12]}},
+    "date-part-not-int": {"issued": {"date-parts": [[2014, "12"]]}},
+    "date-part-null-month": {"issued": {"date-parts": [[2014, None]]}},
+    "date-time-not-string": {"created": {"date-time": 5}},
+    "date-time-garbage": {"created": {"date-time": "yesterday"}},
+    "timestamp-not-number": {"created": {"timestamp": "soon"}},
+    "title-not-list": {"title": "T"},
+    "title-null-item": {"title": [None]},
+    "issn-number": {"ISSN": [10829873]},
+    "volume-not-string": {"volume": 9},
+    "member-not-string": {"member": {"id": 340}},
+    "reference-count-not-number": {"reference-count": []},
+}
+
+
+class TestHostileWork:
+    @pytest.mark.parametrize("change", _HOSTILE.values(), ids=list(_HOSTILE))
+    def test_parse_work_raises_not_a_work(self, change):
+        assert parse_work(_GOOD).issued == PartialDate(2014, 12)
+        with pytest.raises(NotAWork):
+            parse_work({**_GOOD, **change})
+
+    @pytest.mark.parametrize("change", _HOSTILE.values(), ids=list(_HOSTILE))
+    def test_one_hostile_item_spoils_the_list(self, change):
+        items = [_GOOD, {**_GOOD, **change}]
+        with pytest.raises(NotAWork):
+            parse_work_list({"message-type": "work-list", "status": "ok", "message": {"items": items}})
+
+    @pytest.mark.parametrize("items", [["10.5/x"], [None], "10.5/x", {"DOI": "10.5/x"}])
+    def test_items_that_are_not_objects(self, items):
+        with pytest.raises(NotAWork):
+            parse_work_list({"message-type": "work-list", "status": "ok", "message": {"items": items}})
+
+    @pytest.mark.parametrize("parts", ["2014", [2014], [["2014"]], [[True]], [[2014.0]]])
+    def test_date_parts_of_the_wrong_shape(self, parts):
+        with pytest.raises(NotAWork):
+            PartialDate.from_date_parts(parts)
+
+    @pytest.mark.parametrize("parts", [None, [], [[]], [[None]]])
+    def test_empty_date_parts_mean_no_date(self, parts):
+        assert PartialDate.from_date_parts(parts) is None
 
 
 class TestParseWorkList:
@@ -365,6 +434,25 @@ class TestClient:
             ]
         )
         assert client.fetch_work("10.5/x").doi == "10.5/x"
+
+    def test_fetch_works_makes_one_list_request(self):
+        items = [{"DOI": "10.5/X"}, {"DOI": "10.5/y"}]
+        body = json.dumps(
+            {"message-type": "work-list", "status": "ok", "message": {"items": items}}
+        )
+        client, session = _client([StubResponse(200, body)])
+        works = client.fetch_works(["doi:10.5/x", "10.5/Y", "10.5/z"])
+        assert sorted(works) == ["10.5/x", "10.5/y"]
+        assert works["10.5/x"].doi == "10.5/x"
+        assert session.calls == [
+            "http://api.crossref.org/works?filter=doi:10.5/x,doi:10.5/y,doi:10.5/z&rows=3"
+        ]
+
+    def test_fetch_works_maps_status_like_fetch_work(self):
+        client, session = _client([StubResponse(500)])
+        with pytest.raises(ServiceError) as err:
+            client.fetch_works(["10.5/x", "10.5/y"])
+        assert err.value.status == 500
 
     @pytest.mark.parametrize(
         "statuses, error, calls",

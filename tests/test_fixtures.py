@@ -7,7 +7,8 @@ import urllib.request
 import pytest
 
 from sgp.bibliography import parse_bibtex, parse_ris, from_crossref, reconcile
-from sgp.crossref import parse_work
+from gen import distinct_specs
+from sgp.crossref import parse_work, parse_work_list
 from sgp.fixtures import (
     ABLATION_KEYS,
     ABLATION_RECOMMENDATION,
@@ -186,6 +187,59 @@ class TestWorksApi:
         assert work.member_id == "340"
         assert work.publisher == "Public Library of Science"
         assert len(work.authors) == 7
+
+
+class TestWorksListApi:
+    """``/works?filter=doi:A,doi:B&rows=N`` answers from the same work
+    documents as ``/works/<doi>``."""
+
+    @pytest.fixture(scope="class")
+    def three(self):
+        specs = distinct_specs(3)
+        with serve(*specs) as ep:
+            yield ep, [spec.doi for spec in specs]
+
+    def _list(self, ep, query):
+        status, headers, body = get(f"{ep.base_uri}/works?{query}")
+        assert status == 200
+        assert headers["Content-Type"] == "application/json"
+        return body
+
+    def test_items_are_the_single_route_works(self, three):
+        ep, dois = three
+        body = self._list(ep, f"filter=doi:{dois[2]},doi:{dois[0]}&rows=2")
+        items = parse_work_list(body).items
+        assert sorted(w.doi for w in items) == sorted([dois[0], dois[2]])
+        for view in ep.views:
+            if view.spec.doi in (dois[0], dois[2]):
+                assert parse_work(get(view.works_uri)[2]) in items
+        assert json.loads(body)["message"]["total-results"] == 2
+
+    def test_doi_matching_ignores_case(self, three):
+        ep, dois = three
+        items = parse_work_list(self._list(ep, f"filter=doi:{dois[1].upper()}&rows=5")).items
+        assert [w.doi for w in items] == [dois[1]]
+
+    def test_unknown_dois_are_left_out(self, three):
+        ep, dois = three
+        query = f"filter=doi:10.9999/absent,doi:{dois[0]}&rows=5"
+        items = parse_work_list(self._list(ep, query)).items
+        assert [w.doi for w in items] == [dois[0]]
+        none = parse_work_list(self._list(ep, "filter=doi:10.9999/absent&rows=5"))
+        assert none.items == ()
+
+    def test_rows_is_honoured(self, three):
+        ep, dois = three
+        named = ",".join(f"doi:{doi}" for doi in dois)
+        body = self._list(ep, f"filter={named}&rows=2")
+        assert len(parse_work_list(body).items) == 2
+        assert json.loads(body)["message"]["total-results"] == 3
+        assert parse_work_list(self._list(ep, f"filter={named}&rows=0")).items == ()
+
+    @pytest.mark.parametrize("query", ["filter=issn:0000-0000", "filter=doi:10.5/x&rows=many"])
+    def test_what_the_route_cannot_answer_is_a_400(self, three, query):
+        ep, _ = three
+        assert get(f"{ep.base_uri}/works?{query}")[0] == 400
 
 
 class TestFeeds:

@@ -17,6 +17,7 @@ import gen
 from gen import random_ingest_record
 from sgp.auditor import AuditReport, CheckResult
 from sgp.bibliography import BibRecord, Discrepancy, ReconciliationReport
+from sgp import harvester
 from sgp.crossref import CrossRefClient
 from sgp.fixity import FixityInfo
 from sgp.fixtures import AssetSpec, FixtureSpec, degrade, landing_spec, plos_spec, serve
@@ -35,6 +36,7 @@ from sgp.harvester import (
     UnknownKey,
     _substance,
     ingest,
+    ingest_all,
     pack_object_dump,
     plan_from_feed,
     record_tombstone,
@@ -472,6 +474,128 @@ class TestRegistrarFallback:
         assert record.bibliography.matched is None
         assert record.bibliography.record is None
         assert any("no registrar metadata link" in n for n in record.bibliography.notes)
+
+
+def _describedby_on(count, *kept):
+    """``count`` distinct specs in the order of their feed (by deposit
+    time), the describedby links of all but those at ``kept`` dropped."""
+    specs = sorted(gen.distinct_specs(count), key=lambda spec: spec.deposited)
+    return [
+        spec if index in kept else degrade(spec, "no-entry-describedby")
+        for index, spec in enumerate(specs)
+    ]
+
+
+class TestRegistrarWindow:
+    """``ingest_all`` looks up a window's registrar DOIs with one
+    works-list request; its records equal those of one ``ingest`` a
+    task, each with its own ``fetch_work``, clock readings aside."""
+
+    @staticmethod
+    def _both(specs, tmp_path, works_api=None):
+        """(records of ``ingest_all``, records of ``ingest`` per task, and
+        the works-API paths ``ingest_all`` requested of ``works_api``,
+        by default the server of ``specs`` itself)."""
+        with serve(*specs) as ep:
+            api = works_api or ep
+            client = SignpostClient(FAST)
+            feed = parse_change_list(client.fetch_resource(ep.publisher_feed_uri).body)
+            tasks = plan_from_feed(feed)
+            registrar = CrossRefClient(client, api_base=api.base_uri)
+            api.clear_log()
+            batched = ingest_all(
+                tasks,
+                client,
+                IngestStore(tmp_path / "batched"),
+                POLICY,
+                registrar,
+                resource_policy=ep.policy(),
+            )
+            works = [e.path for e in api.log() if e.path.startswith("/works")]
+            single = [
+                ingest(
+                    task,
+                    client,
+                    IngestStore(tmp_path / "single"),
+                    POLICY,
+                    registrar,
+                    resource_policy=ep.policy(),
+                )
+                for task in tasks
+            ]
+        return batched, single, works
+
+    def test_one_list_request_for_a_feed(self, tmp_path):
+        specs = _describedby_on(6, 1, 4)
+        batched, single, works = self._both(specs, tmp_path)
+        (listed,) = [path for path in works if path.startswith("/works?filter=")]
+        looked_up = [specs[i].doi for i in (0, 2, 3, 5)]
+        assert listed == "/works?filter=" + ",".join(f"doi:{d}" for d in looked_up) + "&rows=4"
+        # the describedby objects' own links, and nothing else, by path
+        assert sorted(p for p in works if p != listed) == sorted(
+            f"/works/{specs[i].doi}" for i in (1, 4)
+        )
+        assert [r.bibliography.record.doi for r in batched] == [s.doi for s in specs]
+        assert [_timeless(r) for r in batched] == [_timeless(r) for r in single]
+
+    def test_a_list_answering_500_gives_the_per_doi_notes(self, tmp_path):
+        specs = _describedby_on(3)
+        specs[0] = dataclasses.replace(specs[0], status_scripts=(("/works", (500,)),))
+        batched, single, works = self._both(specs, tmp_path)
+        assert works[0].startswith("/works?filter=")
+        assert works[1:] == [f"/works/{spec.doi}" for spec in specs]
+        assert [_timeless(r) for r in batched] == [_timeless(r) for r in single]
+        assert all(r.bibliography.record is not None for r in batched)
+
+    def test_a_doi_the_list_omits_is_looked_up_alone(self, tmp_path):
+        specs = _describedby_on(3)
+        # a works API that knows the first two works only
+        with serve(*specs[:2]) as api:
+            batched, single, works = self._both(specs, tmp_path, works_api=api)
+        assert len(works) == 2
+        assert works[0].startswith("/works?filter=")
+        assert works[1] == f"/works/{specs[2].doi}"
+        assert [_timeless(r) for r in batched] == [_timeless(r) for r in single]
+        (note,) = [n for n in batched[2].bibliography.notes if n.startswith("registrar")]
+        assert note.startswith(f"registrar lookup failed for {specs[2].doi}: 404 for ")
+        assert batched[0].bibliography.record.doi == specs[0].doi
+
+    def test_a_doi_holding_a_comma_is_looked_up_alone(self, tmp_path):
+        specs = _describedby_on(3)
+        specs[1] = dataclasses.replace(specs[1], doi="10.5555/a,b")
+        batched, single, works = self._both(specs, tmp_path)
+        assert works == [
+            f"/works?filter=doi:{specs[0].doi},doi:{specs[2].doi}&rows=2",
+            "/works/10.5555/a,b",
+        ]
+        assert batched[1].bibliography.record.doi == "10.5555/a,b"
+        assert [_timeless(r) for r in batched] == [_timeless(r) for r in single]
+
+    def test_windows_hold_at_most_the_window_constant(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harvester, "REGISTRAR_WINDOW", 2)
+        specs = _describedby_on(5)
+        with serve(*specs) as ep:
+            client = SignpostClient(FAST)
+            feed = parse_change_list(client.fetch_resource(ep.publisher_feed_uri).body)
+            tombstone = _event(ep.uri("/gone"), ChangeKind.DELETED)
+            events = [*feed.events[:3], tombstone, *feed.events[3:]]
+            store = IngestStore(tmp_path)
+            ep.clear_log()
+            records = ingest_all(
+                plan_from_feed(ChangeList(events=tuple(events))),
+                client,
+                store,
+                POLICY,
+                CrossRefClient(client, api_base=ep.base_uri),
+                resource_policy=ep.policy(),
+            )
+            works = [e.path for e in ep.log() if e.path.startswith("/works")]
+        # windows: two DOIs, one DOI and the tombstone, two DOIs
+        assert [path.split("?")[0] for path in works] == ["/works", f"/works/{specs[2].doi}", "/works"]
+        assert [r.trigger_loc for r in records] == [e.loc for e in events]
+        assert [key for _, key, _, _ in store.journal_entries()] == [r.key for r in records]
+        assert records[3].tombstone
+        assert all(r.bibliography.record is not None for r in records if not r.tombstone)
 
 
 @pytest.fixture(scope="module")
