@@ -15,9 +15,9 @@ import requests
 
 import gen
 from gen import random_ingest_record
+from sgp import harvester
 from sgp.auditor import AuditReport, CheckResult
 from sgp.bibliography import BibRecord, Discrepancy, ReconciliationReport
-from sgp import harvester
 from sgp.crossref import CrossRefClient
 from sgp.fixity import FixityInfo
 from sgp.fixtures import AssetSpec, FixtureSpec, degrade, landing_spec, plos_spec, serve
