@@ -364,12 +364,15 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
             resource_policy=policy,
             verify_live=args.verify_live,
         )
-    _emit_json(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "store": store_dir,
-            "records": [record.json_dict for record in records],
-        }
+    # what _emit_json would print, with each record's stored text as its
+    # entry instead of a second encoding of the same record
+    print(
+        '{"records": [%s], "schema_version": %s, "store": %s}'
+        % (
+            ", ".join(record.json_text for record in records),
+            json.dumps(SCHEMA_VERSION),
+            json.dumps(store_dir),
+        )
     )
     bad = [
         record

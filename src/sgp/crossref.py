@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 from urllib.parse import quote
 
-from .navigator import HttpError, NavigationError
 from .rfc3339 import parse_rfc3339
 
 __all__ = [
@@ -452,6 +452,10 @@ class CrossRefClient:
         self.api_base = api_base.rstrip("/")
 
     def _get(self, url: str) -> bytes:
+        # imported here: the fixtures and the parsers that share this
+        # module load without the HTTP library
+        from .navigator import HttpError, NavigationError
+
         try:
             result = self.nav.fetch_resource(url)
         except HttpError as exc:

@@ -267,10 +267,11 @@ class IngestRecord(Record):
         return self.object.identifying_uri or self.object.entry_page.uri
 
     @cached_property
-    def json_dict(self) -> dict:
-        """``to_json_dict()`` built once, for the store and the CLI to
-        share; read it, never change it."""
-        return self.to_json_dict()
+    def json_text(self) -> str:
+        """The record as one line of sorted JSON, encoded once: the
+        store writes it as the version file, the CLI copies it into the
+        harvest document."""
+        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 # --------------------------------------------------------- persistence
@@ -283,7 +284,8 @@ class IngestStore:
     Layout: ``payloads/<aa>/<sha256>``, ``records/<quoted-key>/<n>.json``,
     ``journal.log``. Records are never overwritten, also by concurrent
     writers: each version file is created exclusively, and re-ingest
-    takes the next free version.
+    takes the next free version. Payload and record files are created
+    with ``O_CREAT|O_EXCL``; each journal line is one ``O_APPEND`` write.
     """
 
     def __init__(self, root: str | Path):
@@ -293,25 +295,29 @@ class IngestStore:
             (self.root / "records").mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise StoreFailure(f"cannot initialise store at {root}: {exc}") from exc
+        # the write path joins and opens str paths with os calls
+        self._payloads = os.path.join(self.root, "payloads")
+        self._records = os.path.join(self.root, "records")
+        self._journal = os.path.join(self.root, "journal.log")
         self._journal_lock = threading.Lock()
 
     # -- payloads
 
     def payload_path(self, digest: str) -> Path:
-        return self.root / "payloads" / digest[:2] / digest
+        return Path(self._payloads, digest[:2], digest)
 
     def store_payload(self, data: bytes) -> str:
         digest = hashlib.sha256(data).hexdigest()
-        path = self.payload_path(digest)
+        shard = f"{self._payloads}/{digest[:2]}"
+        path = f"{shard}/{digest}"
         try:
             try:
-                handle = open(path, "xb")
+                _write(path, _NEW, data)
             except FileNotFoundError:
                 # first payload in this shard
-                path.parent.mkdir(exist_ok=True)
-                handle = open(path, "xb")
-            with handle:
-                handle.write(data)
+                with contextlib.suppress(FileExistsError):
+                    os.mkdir(shard)
+                _write(path, _NEW, data)
         except FileExistsError:
             pass  # content-addressed: the same bytes are already stored
         except OSError as exc:
@@ -326,8 +332,11 @@ class IngestStore:
 
     # -- records
 
+    def _record_dir(self, key: str) -> str:
+        return f"{self._records}/{quote(key, safe='')}"
+
     def _key_dir(self, key: str) -> Path:
-        return self.root / "records" / quote(key, safe="")
+        return Path(self._record_dir(key))
 
     def keys(self) -> list[str]:
         return sorted(unquote(p.name) for p in (self.root / "records").iterdir())
@@ -340,11 +349,11 @@ class IngestStore:
 
     def save_record(self, record: IngestRecord) -> str:
         key = record.key
-        directory = self._key_dir(key)
-        text = json.dumps(record.json_dict, sort_keys=True) + "\n"
+        directory = self._record_dir(key)
+        data = f"{record.json_text}\n".encode()
         try:
             try:
-                directory.mkdir()
+                os.mkdir(directory)
                 version = 1
             except FileExistsError:
                 version = (self.versions(key) or [0])[-1] + 1
@@ -352,18 +361,14 @@ class IngestStore:
             # creation decides, and only a taken version moves us on
             while True:
                 try:
-                    handle = open(directory / f"{version:04d}.json", "x", encoding="utf-8")
+                    _write(f"{directory}/{version:04d}.json", _NEW, data)
                     break
                 except FileExistsError:
                     version += 1
-            with handle:
-                handle.write(text)
+            kind = "tombstone" if record.tombstone else record.mode.value
+            line = f"{format_rfc3339(record.created_at)}\t{key}\t{version}\t{kind}\n"
             with self._journal_lock:
-                with (self.root / "journal.log").open("a", encoding="utf-8") as journal:
-                    kind = "tombstone" if record.tombstone else record.mode.value
-                    journal.write(
-                        f"{format_rfc3339(record.created_at)}\t{key}\t{version}\t{kind}\n"
-                    )
+                _write(self._journal, _APPEND, line.encode())
         except OSError as exc:
             raise StoreFailure(f"cannot save record for {key}: {exc}") from exc
         return key
@@ -393,20 +398,45 @@ class IngestStore:
         """Recompute every payload digest and re-parse every record;
         returns a list of problems, empty when the store is clean."""
         problems: list[str] = []
-        for entry in _files_in_path_order(self.root / "payloads"):
-            with open(entry.path, "rb") as handle:
-                digest = hashlib.sha256(handle.read()).hexdigest()
+        for entry in _files_in_path_order(self._payloads):
+            digest = hashlib.sha256(_read(entry.path)).hexdigest()
             if digest != entry.name:
                 problems.append(f"payload {entry.name}: content digest {digest}")
         for directory in sorted((self.root / "records").iterdir()):
             for path in sorted(directory.glob("*.json")):
                 try:
-                    IngestRecord.from_json_dict(
-                        json.loads(path.read_text(encoding="utf-8"))
-                    )
+                    text = _read(path).decode("utf-8")
+                    if "\r" in text:
+                        # newlines as a text-mode read gives them, so the
+                        # positions in a parse error are the same
+                        text = text.replace("\r\n", "\n").replace("\r", "\n")
+                    IngestRecord.from_json_dict(json.loads(text))
                 except DECODE_ERRORS as exc:
                     problems.append(f"record {directory.name}/{path.name}: {exc}")
         return problems
+
+
+# store files are created exclusively, never opened again for writing;
+# the journal only grows
+_NEW = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+_APPEND = os.O_WRONLY | os.O_CREAT | os.O_APPEND
+
+
+def _write(path: str, flags: int, data: bytes) -> None:
+    """Open ``path`` with ``flags`` and write all of ``data``: one
+    ``os.write`` may write less than it is given."""
+    fd = os.open(path, flags, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+    finally:
+        os.close(fd)
+
+
+def _read(path: str | os.PathLike) -> bytes:
+    with open(path, "rb", buffering=0) as handle:
+        return handle.readall()
 
 
 def _files_in_path_order(directory: str | os.PathLike) -> Iterator[os.DirEntry]:

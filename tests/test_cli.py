@@ -26,7 +26,7 @@ from sgp.fixtures import (
     plos_spec,
     serve,
 )
-from sgp.harvester import pack_object_dump
+from sgp.harvester import IngestStore, pack_object_dump
 from sgp.navigator import HostThrottle, SignpostClient
 from sgp.resourcesync import (
     ChangeDumpIndex,
@@ -182,6 +182,42 @@ class TestHarvest:
         assert record["bibliography"]["matched"] is True
         assert (store / "journal.log").exists()
         assert any((store / "payloads").iterdir())
+
+    def test_stdout_holds_the_stored_records_byte_for_byte(self, tmp_path, capsys):
+        # the harvest document is what json.dumps(..., sort_keys=True)
+        # prints, and each record in it is its stored line
+        store = tmp_path / 'st"or\u00e9'
+        with serve(plos_spec(), landing_spec()) as ep:
+            rc = run(
+                [
+                    "harvest",
+                    "--feed",
+                    ep.publisher_feed_uri,
+                    "--store",
+                    str(store),
+                    "--api-base",
+                    ep.base_uri,
+                ]
+            )
+        out = capsys.readouterr().out
+        assert rc == 0
+        stored = IngestStore(store)
+        lines = [
+            (stored._key_dir(key) / f"{version:04d}.json").read_text(encoding="utf-8")
+            for _, key, version, _ in stored.journal_entries()
+        ]
+        assert len(lines) == 2
+        document = {
+            "records": [json.loads(line) for line in lines],
+            "schema_version": 1,
+            "store": str(store),
+        }
+        assert out == json.dumps(document, sort_keys=True) + "\n"
+        at = 0
+        for line in lines:
+            assert line.endswith("\n") and line.count("\n") == 1
+            at = out.index(line[:-1], at) + len(line) - 1
+            assert out[at] in ",]"
 
     def test_feed_loc_with_a_tab_is_unavailable(self, tmp_path, capsys):
         spec = FixtureSpec.from_json_dict(

@@ -53,7 +53,7 @@ from sgp.resourcesync import (
     parse_change_list,
     unpack_change_dump,
 )
-from sgp.rfc3339 import parse_rfc3339, utcnow
+from sgp.rfc3339 import format_rfc3339, parse_rfc3339, utcnow
 
 FAST = PolitenessPolicy(timeout=5, backoff=0.01)
 POLICY = SubstancePolicy(
@@ -1087,6 +1087,33 @@ class TestStore:
         store._key_dir(record.key).write_text("not a directory")
         with pytest.raises(StoreFailure):
             store.save_record(record)
+
+    def test_short_writes_still_write_every_byte(self, tmp_path, monkeypatch):
+        # os.write may write fewer bytes than it is given; the store
+        # writes on until every byte is down
+        write, calls = os.write, []
+
+        def short(fd, data):
+            calls.append(len(data))
+            return write(fd, bytes(data[:7]))
+
+        monkeypatch.setattr(harvester.os, "write", short)
+        store = IngestStore(tmp_path)
+        payload = random.Random(5).randbytes(100 * 1024)
+        digest = store.store_payload(payload)
+        record = _synthetic_record()
+        store.save_record(record)
+        monkeypatch.undo()
+        assert max(calls) > 7 and len(calls) > 100 * 1024 // 7
+        assert store.load_payload(digest) == payload
+        text = (store._key_dir(record.key) / "0001.json").read_text(encoding="utf-8")
+        assert text == record.json_text + "\n"
+        assert store.load_record(record.key) == record
+        assert store.fsck() == []
+        [(stamp, key, version, kind)] = store.journal_entries()
+        assert (stamp, key, version, kind) == (
+            format_rfc3339(record.created_at), record.key, 1, "harvest"
+        )
 
     def test_keys_decode_quoted_directories(self, tmp_path):
         store = IngestStore(tmp_path)

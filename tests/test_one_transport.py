@@ -5,6 +5,9 @@ benchmark's tracer wraps that transport by name, so it must still fit."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import sgp
@@ -35,6 +38,27 @@ def test_only_the_navigator_imports_requests():
         if _imports_requests(ast.parse(path.read_text(encoding="utf-8")))
     )
     assert importers == ["navigator"]
+
+
+def test_the_fixtures_and_parsers_load_without_requests():
+    # the fixture server and the stand-in import these; the HTTP library
+    # loads only with the navigator
+    code = (
+        "import sys\n"
+        "import sgp.fixtures, sgp.resourcesync, sgp.bibliography, sgp.crossref\n"
+        "assert 'requests' not in sys.modules\n"
+        "import sgp.navigator\n"
+        "assert 'requests' in sys.modules\n"
+    )
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_benchmark_tracer_installs():
