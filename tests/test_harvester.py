@@ -1145,6 +1145,28 @@ class TestStore:
         assert len(problems) == 1
         assert "0001.json" in problems[0]
 
+    def test_fsck_reads_records_as_text_mode_would(self, tmp_path):
+        # a record file is read as bytes; the problems are what a
+        # text-mode read (universal newlines, strict UTF-8) gave
+        store = IngestStore(tmp_path)
+        bodies = {
+            "a": b'{"schema_version": 1,\r\n\r\n  x}',
+            "b": b'{"schema_version": 1,\r  \r x}',
+            "c": b'{"created_at": "\xff"}',
+            "d": b'\xef\xbb\xbf{"schema_version": 1}',
+        }
+        expected = []
+        for key, body in bodies.items():
+            store.save_record(_synthetic_record(key=key))
+            path = store._key_dir(key) / "0001.json"
+            path.write_bytes(body)
+            try:
+                IngestRecord.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+            except (ValueError, KeyError) as exc:
+                expected.append(f"record {key}/0001.json: {exc}")
+        assert len(expected) == 4
+        assert store.fsck() == expected
+
     def test_fsck_flags_a_link_value_no_parser_writes(self, tmp_path):
         # link attributes are shared through a cache, so a JSON list where
         # a string belongs is a problem to report, not a crash
