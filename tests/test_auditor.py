@@ -1,6 +1,7 @@
 """Tests for the twelve-point compliance audit."""
 
 import json
+from pathlib import Path
 
 import pytest
 from gen import distinct_specs
@@ -14,7 +15,14 @@ from sgp.auditor import (
     Verdict,
     render_report,
 )
-from sgp.fixtures import ABLATION_RECOMMENDATION, degrade, landing_spec, plos_spec, serve
+from sgp.fixtures import (
+    ABLATION_KEYS,
+    ABLATION_RECOMMENDATION,
+    degrade,
+    landing_spec,
+    plos_spec,
+    serve,
+)
 from sgp.navigator import PolitenessPolicy, SignpostClient
 from sgp.resourcesync import parse_change_list
 from sgp.rfc3339 import format_rfc3339
@@ -22,6 +30,13 @@ from sgp.rfc3339 import format_rfc3339
 FAST = PolitenessPolicy(timeout=5, backoff=0.01)
 
 ALL_IDS = [f"R{i}" for i in range(1, 13)]
+
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "golden" / "audit_matrix.jsonl"
+PATTERNS = {"plos_spec": plos_spec, "landing_spec": landing_spec}
+FIXTURES = ("clean", *sorted(ABLATION_KEYS))
+# no registrar candidate, then the conventional registrar feed as one
+REGISTRARS = ("none", "/registrar/changelist.xml")
+BASE = "http://fixture.invalid"
 
 
 def _audit(ep, entry_uri=None):
@@ -320,3 +335,53 @@ class TestAblations:
         # the registrar events are gone but the entry still names the DOI
         assert rpt.result_for("R2").verdict is Verdict.PASS
         assert rpt.result_for("R3").verdict is Verdict.PASS
+
+
+def _spec(pattern, fixture):
+    spec = PATTERNS[pattern]()
+    return spec if fixture == "clean" else degrade(spec, fixture)
+
+
+def golden_lines(pattern, fixture):
+    """The audit of one fixture, once per registrar candidate, as lines of
+    ``audit_matrix.jsonl``: the case and the JSON report, without
+    ``generated_at`` and with the server's base URI replaced by ``BASE``."""
+    lines = []
+    with serve(_spec(pattern, fixture)) as ep:
+        auditor = Auditor(client=SignpostClient(FAST, strict=True), policy=ep.policy())
+        for registrar in REGISTRARS:
+            candidates = () if registrar == "none" else (ep.uri(registrar),)
+            rpt = auditor.audit(ep.entry_uri, registrar_candidates=candidates)
+            report = json.loads(render_report(rpt, fmt="json").replace(ep.base_uri, BASE))
+            del report["generated_at"]
+            case = {"pattern": pattern, "fixture": fixture, "registrar": registrar}
+            lines.append(json.dumps({"case": case, "report": report}, sort_keys=True))
+    return lines
+
+
+class TestGoldenReports:
+    """Every pattern, with every ablation or none, audited without and
+    with a registrar feed gives the report recorded in
+    ``data/golden/audit_matrix.jsonl``, byte for byte. The file was
+    written once by ``golden_lines`` and is never regenerated."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        lines = GOLDEN_REPORTS.read_text(encoding="utf-8").splitlines()
+        by_case = {}
+        for line in lines:
+            case = json.loads(line)["case"]
+            by_case[case["pattern"], case["fixture"], case["registrar"]] = line
+        return by_case
+
+    def test_every_case_is_recorded(self, golden):
+        assert sorted(golden) == sorted(
+            (p, f, r) for p in PATTERNS for f in FIXTURES for r in REGISTRARS
+        )
+        assert len(golden) == 64
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    @pytest.mark.parametrize("pattern", sorted(PATTERNS))
+    def test_report_is_unchanged(self, golden, pattern, fixture):
+        expected = [golden[pattern, fixture, registrar] for registrar in REGISTRARS]
+        assert golden_lines(pattern, fixture) == expected
