@@ -12,14 +12,15 @@ import enum
 import json
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Sequence
+from itertools import chain
+from typing import Callable, Sequence
 from urllib.parse import urlsplit
 
 from .codec import SCHEMA_VERSION, Record
 from .crossref import CROSSREF_PROFILE
-from .links import LinkSet, MalformedLinkField
+from .links import DESCRIBEDBY, DESCRIBES, ITEM, PERSISTENT_ID, LinkSet, MalformedLinkField
 from .navigator import NavigationError, SignpostClient
-from .resources import DEFAULT_POLICY, ResourcePolicy
+from .resources import DEFAULT_POLICY, ResourcePolicy, claims_persistent_id, links_back
 from .resourcesync import ChangeEvent, ChangeKind, ChangeListError, parse_change_list
 from .rfc3339 import format_rfc3339, utcnow
 
@@ -54,6 +55,7 @@ _PUBLISHER_CHECKS = tuple(f"R{i}" for i in range(4, 13))
 # alone looks at every feed event, since the entry's own event may come
 # anywhere in the feed
 _SAMPLE = 5
+_UNCLAIMED = "no persistent identifier claimed anywhere"
 
 
 class EmptyReport(ValueError):
@@ -160,6 +162,61 @@ def render_report(report: AuditReport, fmt: str = "text") -> str:
 # ------------------------------------------------------------- the audit
 
 
+def _verdict(check_id, offenders, passed, warnings=()) -> CheckResult:
+    """FAIL on the (uri, text) offenders when there are any, else PASS
+    on the one (uri, text) pair ``passed``."""
+    if offenders:
+        return CheckResult(check_id, Verdict.FAIL, tuple(offenders), tuple(warnings))
+    return CheckResult(check_id, Verdict.PASS, (passed,), tuple(warnings))
+
+
+def _not_applicable(check_id: str, uri: str, why: str) -> CheckResult:
+    return CheckResult(check_id, Verdict.NOT_APPLICABLE, ((uri, why),))
+
+
+def _unjudged(check_id: str, feed_uri: str) -> CheckResult:
+    """An event check passes a feed with no events: there is nothing to
+    hold against it, and R1/R4 already fail the empty feed."""
+    return CheckResult(check_id, Verdict.PASS, ((feed_uri, "no events to judge"),))
+
+
+def _feed_check(check_id, feed_uri, events, problem) -> CheckResult:
+    """R1 and R4: the feed reads and carries events."""
+    if problem is None and not events:
+        problem = "feed parses but carries no events"
+    offenders = [] if problem is None else [(feed_uri, problem)]
+    passed = (feed_uri, f"feed carries {len(events or ())} event(s)")
+    return _verdict(check_id, offenders, passed)
+
+
+def _events_carry(check_id, rel, feed_uri, events, passed) -> CheckResult:
+    """R9 and R10: every event carries a ``rel`` link."""
+    if not events:
+        return _unjudged(check_id, feed_uri)
+    offenders = [
+        (event.loc, f"event carries no {rel.value} link")
+        for event in events
+        if not event.links.select(rel)
+    ]
+    return _verdict(check_id, offenders, (feed_uri, f"{len(events)} event(s) {passed}"))
+
+
+def _item_typing(loc, items) -> tuple[list, list]:
+    """R6 and R7: (offenders, warnings) for the item links one resource
+    announces; an item link needs a type and should carry a sem-type."""
+    offenders = [
+        (loc, f"item link without type: {link.target}")
+        for link in items
+        if not link.attrs.media_type
+    ]
+    warnings = [
+        f"item link without sem-type: {link.target}"
+        for link in items
+        if link.attrs.media_type and not link.attrs.sem_type
+    ]
+    return offenders, warnings
+
+
 class _Surface:
     """Read-only view of the endpoints under audit, through one audit's
     memoised client, which keeps what succeeded. A URI whose HEAD failed,
@@ -188,6 +245,18 @@ class _Surface:
 
     def trouble(self, uri: str) -> str:
         return self._trouble.get(uri, "no links observed")
+
+    def judge(self, uris, rule: Callable[[LinkSet], bool], complaint: str) -> list:
+        """The offenders among ``uris``: each whose links cannot be read,
+        with why, and each whose links break ``rule``, with ``complaint``."""
+        offenders = []
+        for uri in uris:
+            links = self.links_of(uri)
+            if links is None:
+                offenders.append((uri, self.trouble(uri)))
+            elif not rule(links):
+                offenders.append((uri, complaint))
+        return offenders
 
     def answers(self, uri: str) -> bool:
         """Whether a feed location answers a GET at all. A feed whose Link
@@ -254,18 +323,11 @@ class Auditor:
             results.extend(self._registrar_checks(surface, registrar_feed, entry_uri))
         else:
             results.extend(
-                CheckResult(
-                    check_id,
-                    Verdict.NOT_APPLICABLE,
-                    ((entry_uri, "no registrar feed to audit"),),
-                )
+                _not_applicable(check_id, entry_uri, "no registrar feed to audit")
                 for check_id in _REGISTRAR_CHECKS
             )
         results.extend(self._publisher_checks(surface, entry_uri, publisher_feed))
         return AuditReport(target=entry_uri, results=tuple(results))
-
-    def _capped(self, events):
-        return None if events is None else events[:_SAMPLE]
 
     # -- registrar side
 
@@ -273,65 +335,38 @@ class Auditor:
         self, surface: _Surface, feed_uri: str, entry_uri: str
     ) -> list[CheckResult]:
         events, problem = surface.feed(feed_uri)
-        events = self._capped(events)
-        results = [self._r1(feed_uri, events, problem)]
-        results.append(self._r2(feed_uri, events or ()))
-        results.append(self._r3(surface, events or (), entry_uri))
-        return results
-
-    def _r1(self, feed_uri, events, problem) -> CheckResult:
-        if problem is not None:
-            return CheckResult("R1", Verdict.FAIL, ((feed_uri, problem),))
-        if not events:
-            return CheckResult(
-                "R1", Verdict.FAIL, ((feed_uri, "feed parses but carries no events"),)
-            )
-        return CheckResult(
-            "R1", Verdict.PASS, ((feed_uri, f"feed carries {len(events)} event(s)"),)
-        )
+        events = None if events is None else events[:_SAMPLE]
+        return [
+            _feed_check("R1", feed_uri, events, problem),
+            self._r2(feed_uri, events or ()),
+            self._r3(surface, events or (), entry_uri),
+        ]
 
     def _r2(self, feed_uri, events) -> CheckResult:
         if not events:
-            return CheckResult(
-                "R2", Verdict.PASS, ((feed_uri, "no events to judge"),)
-            )
+            return _unjudged("R2", feed_uri)
         offenders = []
         for event in events:
             if not self._policy.is_persistent_uri(event.loc):
                 offenders.append((event.loc, "event loc is not a persistent identifier"))
-            elif not event.links.select("describedby"):
+            elif not event.links.select(DESCRIBEDBY):
                 offenders.append((event.loc, "event carries no describedby link"))
-        if offenders:
-            return CheckResult("R2", Verdict.FAIL, tuple(offenders))
-        return CheckResult(
+        return _verdict(
             "R2",
-            Verdict.PASS,
-            ((feed_uri, f"{len(events)} event(s) locate works by persistent identifier"),),
+            offenders,
+            (feed_uri, f"{len(events)} event(s) locate works by persistent identifier"),
         )
 
     def _r3(self, surface, events, entry_uri) -> CheckResult:
-        candidate = next(
-            (e.loc for e in events if self._policy.is_persistent_uri(e.loc)), None
-        )
+        persistent = self._policy.is_persistent_uri
+        candidate = next((e.loc for e in events if persistent(e.loc)), None)
         if candidate is None:
-            entry_links = surface.links_of(entry_uri)
-            if entry_links is not None:
-                candidate = next(
-                    (
-                        link.target
-                        for link in entry_links.select("persistent-id")
-                        if self._policy.is_persistent_uri(link.target)
-                    ),
-                    None,
-                )
+            entry_links = surface.links_of(entry_uri) or LinkSet()
+            candidate = next(filter(persistent, entry_links.targets(PERSISTENT_ID)), None)
         if candidate is None:
-            return CheckResult(
-                "R3",
-                Verdict.NOT_APPLICABLE,
-                ((entry_uri, "no persistent identifier to resolve"),),
-            )
+            return _not_applicable("R3", entry_uri, "no persistent identifier to resolve")
         try:
-            chain = surface.client.resolve_persistent(candidate)
+            walk = surface.client.resolve_persistent(candidate)
         except (NavigationError, MalformedLinkField) as exc:
             if exc.uri is not None:
                 # where the walk stopped, typically the entry page
@@ -339,18 +374,16 @@ class Auditor:
             return CheckResult(
                 "R3", Verdict.FAIL, ((candidate, f"resolution failed: {exc}"),)
             )
-        for hop in chain.hops:
-            for link in hop.links.select("describedby"):
-                if link.attrs.media_type and link.attrs.profile:
-                    return CheckResult(
-                        "R3",
-                        Verdict.PASS,
-                        ((candidate, "redirect discloses describedby with type and profile"),),
-                    )
-        return CheckResult(
+        disclosed = any(
+            link.attrs.media_type and link.attrs.profile
+            for hop in walk.hops
+            for link in hop.links.select(DESCRIBEDBY)
+        )
+        missing = (candidate, "no typed describedby disclosed before the landing page")
+        return _verdict(
             "R3",
-            Verdict.FAIL,
-            ((candidate, "no typed describedby disclosed before the landing page"),),
+            [] if disclosed else [missing],
+            (candidate, "redirect discloses describedby with type and profile"),
         )
 
     # -- publisher side
@@ -365,7 +398,7 @@ class Auditor:
         every_active = tuple(
             e for e in (every_event or ()) if e.kind is not ChangeKind.DELETED
         )
-        events = self._capped(every_event)
+        events = None if every_event is None else every_event[:_SAMPLE]
         active = tuple(
             e for e in (events or ()) if e.kind is not ChangeKind.DELETED
         )
@@ -374,254 +407,129 @@ class Auditor:
 
         # member URIs come from the entry header and from the entry's own
         # feed event; other objects' events must not leak members in
-        members: list[str] = []
-        for link in (entry_links or LinkSet()).select("item"):
-            if link.target not in members:
-                members.append(link.target)
-        for event in own_events:
-            for link in event.links.select("item"):
-                if link.target not in members:
-                    members.append(link.target)
+        members = list(
+            dict.fromkeys(
+                chain(
+                    (entry_links or LinkSet()).targets(ITEM),
+                    *(e.links.targets(ITEM) for e in own_events),
+                )
+            )
+        )
+        # the first claim found ends the search, so member HEADs are made
+        # only when neither the entry page nor the feed claims one
+        doi_claimed = any(
+            links is not None and claims_persistent_id(links)
+            for links in chain(
+                (entry_links,),
+                (e.links for e in active),
+                map(surface.links_of, members),
+            )
+        )
 
-        doi_claimed = self._doi_claimed(surface, entry_uri, entry_links, members, active)
-
-        results = [
-            self._r4(feed_uri, events, problem),
+        r10 = _events_carry(
+            "R10", PERSISTENT_ID, feed_uri, active, "carry the persistent identifier"
+        )
+        if active and not doi_claimed:
+            r10 = _not_applicable("R10", feed_uri, _UNCLAIMED)
+        return [
+            _feed_check("R4", feed_uri, events, problem),
             self._r5(feed_uri, entry_uri, every_active),
             self._r6(feed_uri, active),
             self._r7(surface, entry_uri, entry_links),
             self._r8(surface, entry_uri, members),
-            self._r9(feed_uri, active),
-            self._r10(feed_uri, active, doi_claimed),
+            _events_carry(
+                "R9", DESCRIBEDBY, feed_uri, active, "link bibliographic descriptions"
+            ),
+            r10,
             self._r11(surface, entry_uri, entry_links),
-            self._r12(surface, entry_uri, entry_links, members, doi_claimed),
+            self._r12(surface, entry_uri, members, doi_claimed),
         ]
-        return results
-
-    def _doi_claimed(self, surface, entry_uri, entry_links, members, events) -> bool:
-        if entry_links is not None and entry_links.select("persistent-id"):
-            return True
-        for event in events:
-            if event.links.select("persistent-id"):
-                return True
-        for uri in members:
-            links = surface.links_of(uri)
-            if links is not None and links.select("persistent-id"):
-                return True
-        return False
-
-    def _r4(self, feed_uri, events, problem) -> CheckResult:
-        if problem is not None:
-            return CheckResult("R4", Verdict.FAIL, ((feed_uri, problem),))
-        if not events:
-            return CheckResult(
-                "R4", Verdict.FAIL, ((feed_uri, "feed parses but carries no events"),)
-            )
-        return CheckResult(
-            "R4", Verdict.PASS, ((feed_uri, f"feed carries {len(events)} event(s)"),)
-        )
 
     def _r5(self, feed_uri, entry_uri, active) -> CheckResult:
         if not active:
-            return CheckResult("R5", Verdict.PASS, ((feed_uri, "no events to judge"),))
-        if any(e.loc == entry_uri for e in active):
-            return CheckResult(
-                "R5", Verdict.PASS, ((entry_uri, "an event locates the entry page"),)
-            )
+            return _unjudged("R5", feed_uri)
         sample_locs = ", ".join(e.loc for e in active[:3])
-        return CheckResult(
-            "R5",
-            Verdict.FAIL,
-            ((feed_uri, f"no event locates the entry page; saw: {sample_locs}"),),
-        )
+        missing = (feed_uri, f"no event locates the entry page; saw: {sample_locs}")
+        located = any(e.loc == entry_uri for e in active)
+        passed = (entry_uri, "an event locates the entry page")
+        return _verdict("R5", [] if located else [missing], passed)
 
     def _r6(self, feed_uri, active) -> CheckResult:
         if not active:
-            return CheckResult("R6", Verdict.PASS, ((feed_uri, "no events to judge"),))
-        offenders = []
-        warnings = []
+            return _unjudged("R6", feed_uri)
+        offenders, warnings = [], []
         announced = 0
         for event in active:
-            items = event.links.select("item")
-            if items:
-                announced += 1
-            for link in items:
-                if not link.attrs.media_type:
-                    offenders.append((event.loc, f"item link without type: {link.target}"))
-                elif not link.attrs.sem_type:
-                    warnings.append(f"item link without sem-type: {link.target}")
+            items = event.links.select(ITEM)
+            announced += bool(items)
+            found, warned = _item_typing(event.loc, items)
+            offenders += found
+            warnings += warned
         if not announced:
-            return CheckResult(
-                "R6",
-                Verdict.FAIL,
-                ((feed_uri, "no event announces member resources"),),
-                tuple(warnings),
-            )
-        if offenders:
-            return CheckResult("R6", Verdict.FAIL, tuple(offenders), tuple(warnings))
-        return CheckResult(
-            "R6",
-            Verdict.PASS,
-            ((feed_uri, f"{announced} event(s) announce typed members"),),
-            tuple(warnings),
-        )
+            offenders = [(feed_uri, "no event announces member resources")]
+        passed = (feed_uri, f"{announced} event(s) announce typed members")
+        return _verdict("R6", offenders, passed, warnings)
 
     def _r7(self, surface, entry_uri, entry_links) -> CheckResult:
+        items = (entry_links or LinkSet()).select(ITEM)
+        offenders, warnings = _item_typing(entry_uri, items)
         if entry_links is None:
-            return CheckResult(
-                "R7", Verdict.FAIL, ((entry_uri, surface.trouble(entry_uri)),)
-            )
-        items = entry_links.select("item")
-        if not items:
-            return CheckResult(
-                "R7", Verdict.FAIL, ((entry_uri, "entry page announces no members"),)
-            )
-        offenders = [
-            (entry_uri, f"item link without type: {link.target}")
-            for link in items
-            if not link.attrs.media_type
-        ]
-        warnings = tuple(
-            f"item link without sem-type: {link.target}"
-            for link in items
-            if link.attrs.media_type and not link.attrs.sem_type
-        )
-        if offenders:
-            return CheckResult("R7", Verdict.FAIL, tuple(offenders), warnings)
-        return CheckResult(
-            "R7",
-            Verdict.PASS,
-            ((entry_uri, f"{len(items)} typed item link(s)"),),
-            warnings,
+            offenders, warnings = [(entry_uri, surface.trouble(entry_uri))], []
+        elif not items:
+            offenders = [(entry_uri, "entry page announces no members")]
+        return _verdict(
+            "R7", offenders, (entry_uri, f"{len(items)} typed item link(s)"), warnings
         )
 
     def _r8(self, surface, entry_uri, members) -> CheckResult:
         if not members:
-            return CheckResult(
-                "R8",
-                Verdict.NOT_APPLICABLE,
-                ((entry_uri, "no member resources discoverable"),),
-            )
+            return _not_applicable("R8", entry_uri, "no member resources discoverable")
         sampled = members[:_SAMPLE]
-        offenders = []
-        for uri in sampled:
-            links = surface.links_of(uri)
-            if links is None:
-                offenders.append((uri, surface.trouble(uri)))
-            elif not any(
-                link.target == entry_uri for link in links.select("collection")
-            ):
-                offenders.append((uri, "no collection link back to the entry page"))
-        if offenders:
-            return CheckResult("R8", Verdict.FAIL, tuple(offenders))
-        return CheckResult(
+        offenders = surface.judge(
+            sampled,
+            lambda links: links_back(links, entry_uri),
+            "no collection link back to the entry page",
+        )
+        return _verdict(
             "R8",
-            Verdict.PASS,
-            ((entry_uri, f"{len(sampled)} member(s) link back to the entry page"),),
-        )
-
-    def _r9(self, feed_uri, active) -> CheckResult:
-        if not active:
-            return CheckResult("R9", Verdict.PASS, ((feed_uri, "no events to judge"),))
-        offenders = [
-            (event.loc, "event carries no describedby link")
-            for event in active
-            if not event.links.select("describedby")
-        ]
-        if offenders:
-            return CheckResult("R9", Verdict.FAIL, tuple(offenders))
-        return CheckResult(
-            "R9",
-            Verdict.PASS,
-            ((feed_uri, f"{len(active)} event(s) link bibliographic descriptions"),),
-        )
-
-    def _r10(self, feed_uri, active, doi_claimed) -> CheckResult:
-        if not active:
-            return CheckResult("R10", Verdict.PASS, ((feed_uri, "no events to judge"),))
-        if not doi_claimed:
-            return CheckResult(
-                "R10",
-                Verdict.NOT_APPLICABLE,
-                ((feed_uri, "no persistent identifier claimed anywhere"),),
-            )
-        offenders = [
-            (event.loc, "event carries no persistent-id link")
-            for event in active
-            if not event.links.select("persistent-id")
-        ]
-        if offenders:
-            return CheckResult("R10", Verdict.FAIL, tuple(offenders))
-        return CheckResult(
-            "R10",
-            Verdict.PASS,
-            ((feed_uri, f"{len(active)} event(s) carry the persistent identifier"),),
+            offenders,
+            (entry_uri, f"{len(sampled)} member(s) link back to the entry page"),
         )
 
     def _r11(self, surface, entry_uri, entry_links) -> CheckResult:
+        described = (entry_links or LinkSet()).select(DESCRIBEDBY)
+        sampled = [
+            link.target for link in described if link.attrs.profile != CROSSREF_PROFILE
+        ][:_SAMPLE]
         if entry_links is None:
-            return CheckResult(
-                "R11", Verdict.FAIL, ((entry_uri, surface.trouble(entry_uri)),)
+            offenders = [(entry_uri, surface.trouble(entry_uri))]
+        elif not described:
+            offenders = [(entry_uri, "entry page links no bibliographic descriptions")]
+        else:
+            offenders = surface.judge(
+                sampled,
+                lambda links: entry_uri in links.targets(DESCRIBES),
+                "description does not point back to the entry page",
             )
-        described = entry_links.select("describedby")
-        if not described:
-            return CheckResult(
-                "R11",
-                Verdict.FAIL,
-                ((entry_uri, "entry page links no bibliographic descriptions"),),
-            )
-        own = [
-            link for link in described if link.attrs.profile != CROSSREF_PROFILE
-        ]
-        sampled = own[:_SAMPLE]
-        offenders = []
-        for link in sampled:
-            links = surface.links_of(link.target)
-            if links is None:
-                offenders.append((link.target, surface.trouble(link.target)))
-            elif not any(
-                back.target == entry_uri for back in links.select("describes")
-            ):
-                offenders.append(
-                    (link.target, "description does not point back to the entry page")
-                )
-        if offenders:
-            return CheckResult("R11", Verdict.FAIL, tuple(offenders))
-        return CheckResult(
+        return _verdict(
             "R11",
-            Verdict.PASS,
+            offenders,
             (
-                (
-                    entry_uri,
-                    f"{len(described)} description link(s), "
-                    f"{len(sampled)} checked for the describes backlink",
-                ),
+                entry_uri,
+                f"{len(described)} description link(s), "
+                f"{len(sampled)} checked for the describes backlink",
             ),
         )
 
-    def _r12(self, surface, entry_uri, entry_links, members, doi_claimed) -> CheckResult:
+    def _r12(self, surface, entry_uri, members, doi_claimed) -> CheckResult:
         if not doi_claimed:
-            return CheckResult(
-                "R12",
-                Verdict.NOT_APPLICABLE,
-                ((entry_uri, "no persistent identifier claimed anywhere"),),
-            )
-        offenders = []
-        if entry_links is None:
-            offenders.append((entry_uri, surface.trouble(entry_uri)))
-        elif not entry_links.select("persistent-id"):
-            offenders.append((entry_uri, "no persistent-id link"))
+            return _not_applicable("R12", entry_uri, _UNCLAIMED)
         sampled = members[:_SAMPLE]
-        for uri in sampled:
-            links = surface.links_of(uri)
-            if links is None:
-                offenders.append((uri, surface.trouble(uri)))
-            elif not links.select("persistent-id"):
-                offenders.append((uri, "no persistent-id link"))
-        if offenders:
-            return CheckResult("R12", Verdict.FAIL, tuple(offenders))
-        return CheckResult(
+        offenders = surface.judge(
+            [entry_uri, *sampled], claims_persistent_id, "no persistent-id link"
+        )
+        return _verdict(
             "R12",
-            Verdict.PASS,
-            ((entry_uri, f"entry page and {len(sampled)} member(s) carry it"),),
+            offenders,
+            (entry_uri, f"entry page and {len(sampled)} member(s) carry it"),
         )

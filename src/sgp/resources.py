@@ -45,6 +45,8 @@ __all__ = [
     "validate_object",
     "pick_identifying_uri",
     "entry_is_content",
+    "links_back",
+    "claims_persistent_id",
     "SEM_ARTICLE",
     "SEM_DATASET",
     "SEM_OBJECT_FILE",
@@ -220,11 +222,21 @@ def pick_identifying_uri(
     return targets[0]
 
 
+def links_back(member_links: LinkSet, entry_uri: str) -> bool:
+    """Whether a member's links name the entry page as their collection:
+    audit recommendation R8, ingest's ``MISSING_BACK_LINK``."""
+    return entry_uri in member_links.targets(COLLECTION)
+
+
+def claims_persistent_id(links: LinkSet) -> bool:
+    """Whether a resource's links carry a persistent-id link: audit
+    recommendations R10 and R12; ingest compares the targets of those
+    that do."""
+    return bool(links.select(PERSISTENT_ID))
+
+
 def _entry_descriptor(
-    entry_uri: str,
-    entry_links: LinkSet,
-    media_type: str | None,
-    policy: ResourcePolicy,
+    entry_uri: str, entry_links: LinkSet, media_type: str | None
 ) -> ResourceDescriptor:
     type_link = entry_links.first(TYPE)
     return ResourceDescriptor(
@@ -284,7 +296,7 @@ def _finish_object(
         identifying_uri=identifying,
         failures=tuple(failures),
     )
-    return replace(obj, pattern=classify_pattern(obj, entry_links, policy=policy))
+    return replace(obj, pattern=classify_pattern(obj, policy=policy))
 
 
 def object_from_links(
@@ -297,7 +309,7 @@ def object_from_links(
     """Build an object from a single link set (a feed event payload or a
     one-shot HEAD), without walking the web. Item targets one level deep.
     """
-    entry_desc = _entry_descriptor(entry_uri, entry_links, entry_media_type, policy)
+    entry_desc = _entry_descriptor(entry_uri, entry_links, entry_media_type)
     pubs: list[ResourceDescriptor] = []
     seen: set[str] = {entry_uri}
     if entry_is_content(entry_links, policy):
@@ -331,7 +343,7 @@ def boundary_closure(
     if not select(links, ITEM) and not entry_is_content(links, policy):
         raise NoEntryPage(entry)
 
-    entry_desc = _entry_descriptor(entry, links, entry_media_type, policy)
+    entry_desc = _entry_descriptor(entry, links, entry_media_type)
     pubs: list[ResourceDescriptor] = []
     failures: list[tuple[str, str]] = []
     visited: set[str] = {entry}
@@ -357,10 +369,7 @@ def boundary_closure(
 
 
 def classify_pattern(
-    obj: ScholarlyObject,
-    entry_links: LinkSet | None = None,
-    *,
-    policy: ResourcePolicy = DEFAULT_POLICY,
+    obj: ScholarlyObject, *, policy: ResourcePolicy = DEFAULT_POLICY
 ) -> PatternId:
     """Entry page doubling as content is the PLOS shape; a pure landing
     page splits on whether the identifying URI lives in shared identifier
@@ -407,7 +416,7 @@ def validate_object(
             )
         if member.links is None:
             continue
-        if entry_uri not in member.links.targets(COLLECTION):
+        if not links_back(member.links, entry_uri):
             violations.append(
                 Violation(
                     ViolationKind.MISSING_BACK_LINK,
@@ -415,9 +424,8 @@ def validate_object(
                     "no collection link back to the entry page",
                 )
             )
-        member_id = pick_identifying_uri(member.links, policy=policy)
-        if member_id:
-            id_targets[member.uri] = member_id
+        if claims_persistent_id(member.links):
+            id_targets[member.uri] = pick_identifying_uri(member.links, policy=policy)
 
     distinct = sorted(set(id_targets.values()))
     if len(distinct) > 1:

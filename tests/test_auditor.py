@@ -1,5 +1,6 @@
 """Tests for the twelve-point compliance audit."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -18,12 +19,14 @@ from sgp.auditor import (
 from sgp.fixtures import (
     ABLATION_KEYS,
     ABLATION_RECOMMENDATION,
+    AssetSpec,
     degrade,
     landing_spec,
     plos_spec,
     serve,
 )
 from sgp.navigator import PolitenessPolicy, SignpostClient
+from sgp.resources import SEM_OBJECT_FILE
 from sgp.resourcesync import parse_change_list
 from sgp.rfc3339 import format_rfc3339
 
@@ -335,6 +338,47 @@ class TestAblations:
         # the registrar events are gone but the entry still names the DOI
         assert rpt.result_for("R2").verdict is Verdict.PASS
         assert rpt.result_for("R3").verdict is Verdict.PASS
+
+
+class TestSampleCap:
+    """R8 and R12 HEAD at most five members of an object with more."""
+
+    @staticmethod
+    def _seven_assets():
+        spec = plos_spec()
+        extra = tuple(
+            AssetSpec(
+                path=f"/plosone/article.s{n:03d}",
+                media_type="text/html",
+                sem_type=SEM_OBJECT_FILE,
+                body_text=f"<html><body>supplement {n}</body></html>\n",
+            )
+            for n in range(2, 6)
+        )
+        return dataclasses.replace(spec, assets=spec.assets + extra)
+
+    def test_only_five_members_are_requested(self):
+        spec = self._seven_assets()
+        assert len(spec.assets) == 7
+        with serve(spec) as ep:
+            rpt = _audit(ep)
+            paths = {e.path for e in ep.log()}
+        assert rpt.all_passed
+        assert "5 member(s)" in rpt.result_for("R8").evidence[0][1]
+        assert "5 member(s)" in rpt.result_for("R12").evidence[0][1]
+        assert {a.path for a in spec.assets[:5]} <= paths
+        assert not {a.path for a in spec.assets[5:]} & paths
+
+    def test_the_cap_bounds_the_offenders(self):
+        spec = degrade(self._seven_assets(), "no-collection-backlink")
+        with serve(spec) as ep:
+            rpt = _audit(ep)
+            paths = {e.path for e in ep.log()}
+            sampled = [ep.uri(a.path) for a in spec.assets[:5]]
+        r8 = rpt.result_for("R8")
+        assert r8.verdict is Verdict.FAIL
+        assert [uri for uri, _ in r8.evidence] == sampled
+        assert not {a.path for a in spec.assets[5:]} & paths
 
 
 def _spec(pattern, fixture):

@@ -203,7 +203,7 @@ class TestClassifyPattern:
     def test_plos_style(self):
         table = plos_table()
         obj = boundary_closure(ENTRY, lambda u: table[u])
-        assert classify_pattern(obj, entry_links()) == PatternId.PLOS_STYLE
+        assert classify_pattern(obj) == PatternId.PLOS_STYLE
 
     def test_landing_with_shared_id_is_aps(self):
         land = "http://journal.example/abstract/1"
