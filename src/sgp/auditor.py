@@ -175,8 +175,8 @@ def _not_applicable(check_id: str, uri: str, why: str) -> CheckResult:
 
 
 def _unjudged(check_id: str, feed_uri: str) -> CheckResult:
-    """An event check passes a feed with no events: there is nothing to
-    hold against it, and R1/R4 already fail the empty feed."""
+    """An event check with no live events to judge passes; an empty or
+    unreadable feed is for R1 and R4 to fail."""
     return CheckResult(check_id, Verdict.PASS, ((feed_uri, "no events to judge"),))
 
 

@@ -323,7 +323,9 @@ def parse_crossref_json(
 # --------------------------------------------------------- normalization
 
 _TRAILING_PUNCT = ".,;: "
-_DASHES = re.compile(r"\s*(?:--|–|—)\s*")
+# a whole run of dashes and spaces that holds a range dash becomes one
+# hyphen, so "---" and "-- --" normalise in one pass as "--" does
+_DASHES = re.compile(r"[\s\-–—]*(?:--|–|—)[\s\-–—]*")
 
 
 def _norm_doi(raw: str) -> str:

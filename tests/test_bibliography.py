@@ -259,6 +259,9 @@ class TestNormalize:
     def test_page_dashes_unified(self):
         assert normalize(record(pages="8425--8433")).pages == "8425-8433"
         assert normalize(record(pages="8425–8433")).pages == "8425-8433"
+        # a longer run is one range dash too, so normalising is idempotent
+        assert normalize(record(pages="8425---8433")).pages == "8425-8433"
+        assert normalize(record(pages="8425 - -- 8433")).pages == "8425-8433"
 
     @given(rec=records())
     @settings(max_examples=200)
