@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import signal
@@ -58,7 +57,7 @@ from .harvester import (  # noqa: F401 - perfbench/tracing.py wraps ingest here
 )
 from .links import MalformedLinkField, link_to_json
 from .navigator import HttpError, NavigationError, SignpostClient
-from .resources import DEFAULT_POLICY, NoEntryPage, ResourcePolicy, ScholarlyObject
+from .resources import DEFAULT_POLICY, NoEntryPage, ScholarlyObject
 from .resourcesync import (
     ChangeDumpIndex,
     ChangeEvent,
@@ -101,44 +100,36 @@ def _naming(uri: str):
 # ------------------------------------------------------------- settings
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise _Usage(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise _Usage(f"config {path} must hold a JSON object")
-    return data
-
-
-def _pick(
-    flag: str | None, env: str, config: dict, key: str, default: str | None
-) -> str | None:
+def _pick(flag: str | None, env: str, config: dict, key: str) -> str | None:
     if flag is not None:
         return flag
-    value = os.environ.get(env)
-    if value:
-        return value
-    if key in config:
-        return str(config[key])
-    return default
+    return os.environ.get(env) or (str(config[key]) if key in config else None)
+
+
+def _settle(args: argparse.Namespace) -> None:
+    """Settle ``--api-base`` and, where taken, ``--store``. The config file
+    is read first, so an unreadable one is a usage error whatever the
+    other flags say; ``api_base`` stays None when nothing names one."""
+    config = {}
+    if args.config is not None:
+        try:
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise _Usage(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise _Usage(f"config {args.config} must hold a JSON object")
+    args.api_base = _pick(args.api_base, "SGP_API_BASE", config, "api_base")
+    if "store" in args:
+        args.store = _pick(args.store, "SGP_STORE", config, "store")
+
+
+def _api_base(args: argparse.Namespace) -> str:
+    return DEFAULT_API_BASE if args.api_base is None else args.api_base
 
 
 def _origin(uri: str) -> str:
     parts = urlsplit(uri)
     return f"{parts.scheme}://{parts.netloc}"
-
-
-def _derived_policy(anchor_uri: str, extra_prefixes: list[str]) -> ResourcePolicy:
-    """DOI-style paths under the anchor's own origin count as persistent,
-    so self-hosted resolvers verify the same way the public ones do."""
-    prefixes = (f"{_origin(anchor_uri)}/doi/", *extra_prefixes)
-    return dataclasses.replace(
-        DEFAULT_POLICY,
-        persistent_id_domains=DEFAULT_POLICY.persistent_id_domains + prefixes,
-    )
 
 
 def _emit_json(payload: dict) -> None:
@@ -160,24 +151,33 @@ def _build_parser() -> argparse.ArgumentParser:
             "verification for scholarly objects."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser(
-        "resolve", help="discover an object's boundary starting from any of its URIs"
-    )
-    p.add_argument("uri")
-    p.add_argument(
+    sub = parser.add_subparsers(required=True, metavar="command")
+    # options that several commands take, each declared once
+    prefix = argparse.ArgumentParser(add_help=False)
+    prefix.add_argument(
         "--persistent-prefix",
         action="append",
         default=[],
         metavar="PREFIX",
         help="extra URI prefix treated as a persistent identifier (repeatable)",
     )
+    registrar = argparse.ArgumentParser(add_help=False)
+    registrar.add_argument("--api-base", default=None, metavar="URI")
+    registrar.add_argument("--config", default=None, metavar="FILE")
+
+    p = sub.add_parser(
+        "resolve",
+        parents=[prefix],
+        help="discover an object's boundary starting from any of its URIs",
+    )
+    p.add_argument("uri")
+    p.set_defaults(run=_cmd_resolve)
 
     feed = sub.add_parser("feed", help="parse or emit change feeds")
-    feed_sub = feed.add_subparsers(dest="feed_command", required=True, metavar="action")
+    feed_sub = feed.add_subparsers(required=True, metavar="action")
     fp = feed_sub.add_parser("parse", help="normalize a change feed to JSON")
     fp.add_argument("source", help="file path or http(s) URI")
+    fp.set_defaults(run=_cmd_feed_parse)
     fe = feed_sub.add_parser(
         "emit", help="render a one-event change feed for an object"
     )
@@ -193,8 +193,13 @@ def _build_parser() -> argparse.ArgumentParser:
     fe.add_argument(
         "--when", default=None, metavar="RFC3339", help="event timestamp (default: now)"
     )
+    fe.set_defaults(run=_cmd_feed_emit)
 
-    h = sub.add_parser("harvest", help="ingest every object a feed announces")
+    h = sub.add_parser(
+        "harvest",
+        parents=[prefix, registrar],
+        help="ingest every object a feed announces",
+    )
     h.add_argument("--feed", required=True, metavar="URI")
     h.add_argument("--store", default=None, metavar="DIR")
     h.add_argument(
@@ -212,49 +217,44 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --dump, compare the dump against the live boundary",
     )
-    h.add_argument("--api-base", default=None, metavar="URI")
-    h.add_argument(
-        "--persistent-prefix", action="append", default=[], metavar="PREFIX"
-    )
-    h.add_argument("--config", default=None, metavar="FILE")
+    h.set_defaults(run=_cmd_harvest)
 
     a = sub.add_parser(
-        "audit", help="score an endpoint against the twelve recommendations"
+        "audit",
+        parents=[prefix, registrar],
+        help="score an endpoint against the twelve recommendations",
     )
     a.add_argument("--entry", required=True, metavar="URI")
     a.add_argument("--publisher-feed", default=None, metavar="URI")
     a.add_argument("--registrar-feed", default=None, metavar="URI")
-    a.add_argument("--api-base", default=None, metavar="URI")
     a.add_argument("--format", choices=["text", "json"], default="text")
-    a.add_argument(
-        "--persistent-prefix", action="append", default=[], metavar="PREFIX"
-    )
-    a.add_argument("--config", default=None, metavar="FILE")
+    a.set_defaults(run=_cmd_audit)
 
     c = sub.add_parser("crossref", help="registrar lookups")
-    c_sub = c.add_subparsers(dest="crossref_command", required=True, metavar="action")
+    c_sub = c.add_subparsers(required=True, metavar="action")
     cw = c_sub.add_parser(
-        "works", help="print the registrar's work document for a DOI"
+        "works", parents=[registrar], help="print the registrar's work document for a DOI"
     )
     cw.add_argument("doi")
-    cw.add_argument("--api-base", default=None, metavar="URI")
-    cw.add_argument("--config", default=None, metavar="FILE")
+    cw.set_defaults(run=_cmd_crossref_works)
 
     r = sub.add_parser(
-        "reconcile", help="compare a bibliographic file against the registrar record"
+        "reconcile",
+        parents=[registrar],
+        help="compare a bibliographic file against the registrar record",
     )
     r.add_argument("bibfile", help=".bib or .ris file")
     r.add_argument("doi")
-    r.add_argument("--api-base", default=None, metavar="URI")
-    r.add_argument("--config", default=None, metavar="FILE")
+    r.set_defaults(run=_cmd_reconcile)
 
     f = sub.add_parser("fixture", help="self-test web server")
-    f_sub = f.add_subparsers(dest="fixture_command", required=True, metavar="action")
+    f_sub = f.add_subparsers(required=True, metavar="action")
     fs = f_sub.add_parser(
         "serve", help="serve the objects described by a spec file until interrupted"
     )
     fs.add_argument("spec", help="JSON file holding one server spec or a list of them")
     fs.add_argument("--port", type=int, default=0)
+    fs.set_defaults(run=_cmd_fixture_serve)
 
     return parser
 
@@ -285,7 +285,7 @@ def _event_json(event: ChangeEvent) -> dict:
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
     client = SignpostClient()
-    policy = _derived_policy(args.uri, args.persistent_prefix)
+    policy = DEFAULT_POLICY.resolving_at(args.uri, *args.persistent_prefix)
     try:
         obj = client.discover_object(args.uri, policy=policy)
     except NoEntryPage as exc:
@@ -330,11 +330,8 @@ def _cmd_feed_emit(args: argparse.Namespace) -> int:
 
 
 def _cmd_harvest(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    store_dir = _pick(args.store, "SGP_STORE", config, "store", None)
-    if not store_dir:
+    if not args.store:
         raise _Usage("no store directory; pass --store or set SGP_STORE")
-    api_base = _pick(args.api_base, "SGP_API_BASE", config, "api_base", DEFAULT_API_BASE)
 
     substance = None
     if args.policy:
@@ -351,16 +348,16 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
 
     with opened as dump:
         client = SignpostClient()
-        policy = _derived_policy(args.feed, args.persistent_prefix)
+        policy = DEFAULT_POLICY.resolving_at(args.feed, *args.persistent_prefix)
         feed = parse_change_list(client.fetch_resource(args.feed).body or b"")
         mode = IngestMode.DUMP if dump is not None else IngestMode.HARVEST
         tasks = plan_from_feed(feed, mode=mode, filter_tag=args.filter_tag, dump=dump)
         records = ingest_all(
             tasks,
             client,
-            IngestStore(store_dir),
+            IngestStore(args.store),
             substance,
-            CrossRefClient(client, api_base),
+            CrossRefClient(client, _api_base(args)),
             resource_policy=policy,
             verify_live=args.verify_live,
         )
@@ -371,7 +368,7 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
         % (
             ", ".join(record.json_text for record in records),
             json.dumps(SCHEMA_VERSION),
-            json.dumps(store_dir),
+            json.dumps(args.store),
         )
     )
     bad = [
@@ -388,16 +385,14 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    policy = _derived_policy(args.entry, args.persistent_prefix)
+    policy = DEFAULT_POLICY.resolving_at(args.entry, *args.persistent_prefix)
     # a stated feed is audited as given; the conventional locations are
     # only adopted when they answer, else the registrar side is scored
     # not-applicable
     candidates = []
     if args.registrar_feed is None:
-        explicit_api = _pick(args.api_base, "SGP_API_BASE", config, "api_base", None)
-        if explicit_api:
-            candidates.append(explicit_api.rstrip("/") + _REGISTRAR_FEED_PATH)
+        if args.api_base:
+            candidates.append(args.api_base.rstrip("/") + _REGISTRAR_FEED_PATH)
         candidates.append(_origin(args.entry) + _REGISTRAR_FEED_PATH)
     report = Auditor(policy=policy).audit(
         args.entry,
@@ -409,14 +404,17 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK if report.all_passed else EXIT_VERIFICATION
 
 
-def _cmd_crossref_works(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    api_base = _pick(args.api_base, "SGP_API_BASE", config, "api_base", DEFAULT_API_BASE)
+def _works_uri(args: argparse.Namespace) -> tuple[str, str]:
+    """The DOI argument, normalised, and its works-API URI."""
     try:
         doi = normalize_doi(args.doi)
     except InvalidDoi as exc:
         raise _Usage(f"bad DOI: {exc}") from exc
-    uri = metadata_uri_for(doi, api_base=api_base)
+    return doi, metadata_uri_for(doi, api_base=_api_base(args))
+
+
+def _cmd_crossref_works(args: argparse.Namespace) -> int:
+    doi, uri = _works_uri(args)
     try:
         body = SignpostClient().fetch_resource(uri).body or b""
     except HttpError as exc:
@@ -438,8 +436,6 @@ _BIB_PARSERS = {".bib": parse_bibtex, ".ris": parse_ris}
 
 
 def _cmd_reconcile(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    api_base = _pick(args.api_base, "SGP_API_BASE", config, "api_base", DEFAULT_API_BASE)
     path = Path(args.bibfile)
     parser = _BIB_PARSERS.get(path.suffix.lower())
     if parser is None:
@@ -454,11 +450,7 @@ def _cmd_reconcile(args: argparse.Namespace) -> int:
         publisher = parser(text, source_uri=path.name)
     except (MalformedEntry, UnknownFormat) as exc:
         raise _Usage(f"cannot parse {args.bibfile}: {exc}") from exc
-    try:
-        doi = normalize_doi(args.doi)
-    except InvalidDoi as exc:
-        raise _Usage(f"bad DOI: {exc}") from exc
-    uri = metadata_uri_for(doi, api_base=api_base)
+    _, uri = _works_uri(args)
     body = SignpostClient().fetch_resource(uri).body or b""
     with _naming(uri):
         registrar = parse_crossref_json(body, source_uri=uri)
@@ -492,29 +484,6 @@ def _cmd_fixture_serve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# ------------------------------------------------------------ dispatch
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "resolve":
-        return _cmd_resolve(args)
-    if args.command == "feed":
-        if args.feed_command == "parse":
-            return _cmd_feed_parse(args)
-        return _cmd_feed_emit(args)
-    if args.command == "harvest":
-        return _cmd_harvest(args)
-    if args.command == "audit":
-        return _cmd_audit(args)
-    if args.command == "crossref":
-        return _cmd_crossref_works(args)
-    if args.command == "reconcile":
-        return _cmd_reconcile(args)
-    if args.command == "fixture":
-        return _cmd_fixture_serve(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -523,7 +492,9 @@ def run(argv: list[str] | None = None) -> int:
         # argparse wrote its own message; --help exits 0, errors 2
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _dispatch(args)
+        if "config" in args:
+            _settle(args)
+        return args.run(args)
     except _Usage as exc:
         _note(f"usage error: {exc}")
         return EXIT_USAGE

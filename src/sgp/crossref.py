@@ -20,6 +20,7 @@ from enum import Enum
 from typing import Any, Sequence
 from urllib.parse import quote
 
+from .links import DESCRIBEDBY, LinkAttributes, TypedLink
 from .rfc3339 import parse_rfc3339
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "CrossRefClient",
     "normalize_doi",
     "metadata_uri_for",
+    "works_api_link",
     "work_list_uri_for",
     "parse_work",
     "parse_work_list",
@@ -137,6 +139,17 @@ def metadata_uri_for(doi: str, api_base: str = DEFAULT_API_BASE) -> str:
     """Works-API URI for a DOI; percent-encodes only what RFC 3986
     demands, and is idempotent on already-encoded input."""
     return f"{api_base.rstrip('/')}/works/{_quote_keeping_escapes(doi)}"
+
+
+def works_api_link(target: str, source: str) -> TypedLink:
+    """The ``describedby`` link from ``source`` to a work's document in
+    the works API at ``target``."""
+    return TypedLink(
+        target=target,
+        rel=DESCRIBEDBY,
+        attrs=LinkAttributes(media_type="application/json", profile=CROSSREF_PROFILE),
+        source=source,
+    )
 
 
 def work_list_uri_for(dois: Sequence[str], api_base: str = DEFAULT_API_BASE) -> str:

@@ -20,7 +20,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from .bibliography import BIBTEX_PROFILE, RIS_PROFILE
 from .codec import OMIT, Record
-from .crossref import CROSSREF_PROFILE, parse_work
+from .crossref import parse_work, works_api_link
 from .links import (
     COLLECTION,
     DESCRIBEDBY,
@@ -40,9 +40,9 @@ from .resources import (
     ResourceRole,
     ScholarlyObject,
     SEM_ARTICLE,
-    SEM_DATASET,
     SEM_OBJECT_FILE,
     SEM_START_PAGE,
+    _SELF_CONTENT,
 )
 from .resourcesync import (
     ChangeEvent,
@@ -98,9 +98,6 @@ _EXTRA_KEYS = frozenset(
 )
 
 ABLATION_KEYS = frozenset(ABLATION_RECOMMENDATION) | _EXTRA_KEYS
-
-# entry pages with these natures are publication resources themselves
-_SELF_CONTENT = frozenset({SEM_ARTICLE, SEM_DATASET})
 
 
 @dataclass(frozen=True)
@@ -314,14 +311,7 @@ class _ObjectView:
 
     def _bib_links(self, source: str) -> list[TypedLink]:
         return [
-            TypedLink(
-                target=self.works_uri,
-                rel=DESCRIBEDBY,
-                attrs=LinkAttributes(
-                    media_type="application/json", profile=CROSSREF_PROFILE
-                ),
-                source=source,
-            ),
+            works_api_link(self.works_uri, source),
             TypedLink(
                 target=self.uri(self.bibtex_path),
                 rel=DESCRIBEDBY,
@@ -357,16 +347,7 @@ class _ObjectView:
     def _doi_links(self) -> list[TypedLink]:
         if self._off("no-doi-describedby"):
             return []
-        return [
-            TypedLink(
-                target=self.works_uri,
-                rel=DESCRIBEDBY,
-                attrs=LinkAttributes(
-                    media_type="application/json", profile=CROSSREF_PROFILE
-                ),
-                source=self.doi_uri,
-            )
-        ]
+        return [works_api_link(self.works_uri, self.doi_uri)]
 
     # -- documents
 
@@ -642,28 +623,13 @@ class FixtureEndpoint:
         return self.views[0].scholarly_object()
 
     def policy(self) -> ResourcePolicy:
-        prefix = f"{self.base_uri}/doi/"
-        return dataclasses.replace(
-            DEFAULT_POLICY,
-            persistent_id_domains=DEFAULT_POLICY.persistent_id_domains + (prefix,),
-        )
+        return DEFAULT_POLICY.resolving_at(self.base_uri)
 
     # -- shared documents
 
-    def _registrar_feed_body(self) -> bytes:
-        events = tuple(
-            view.registrar_event()
-            for view in self.views
-            if not view._off("empty-registrar-feed")
-        )
-        return emit_change_list(ChangeList(events=events)).encode("utf-8")
-
-    def _publisher_feed_body(self) -> bytes:
-        events = tuple(
-            view.publisher_event()
-            for view in self.views
-            if not view._off("empty-publisher-feed")
-        )
+    def _feed_body(self, event_of, empty_key: str) -> bytes:
+        """A change list of each object's ``event_of`` event, unless ``empty_key`` is on."""
+        events = tuple(event_of(view) for view in self.views if not view._off(empty_key))
         return emit_change_list(ChangeList(events=events)).encode("utf-8")
 
     # -- routing
@@ -727,13 +693,11 @@ class FixtureEndpoint:
         if path == "/works":
             return self._work_list(parts.query)
         if path == "/registrar/changelist.xml":
-            return _Response(
-                200, (("Content-Type", "application/xml"),), self._registrar_feed_body()
-            )
+            body = self._feed_body(_ObjectView.registrar_event, "empty-registrar-feed")
+            return _Response(200, (("Content-Type", "application/xml"),), body)
         if path == "/changelist.xml":
-            return _Response(
-                200, (("Content-Type", "application/xml"),), self._publisher_feed_body()
-            )
+            body = self._feed_body(_ObjectView.publisher_event, "empty-publisher-feed")
+            return _Response(200, (("Content-Type", "application/xml"),), body)
         if path == "/loop":
             return _Response(302, (("Location", self.uri("/loop")),), b"")
         if path == "/plain":

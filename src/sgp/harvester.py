@@ -24,7 +24,7 @@ from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
-from urllib.parse import quote, unquote, urlsplit
+from urllib.parse import quote, unquote
 
 from .bibliography import (
     BibRecord,
@@ -388,8 +388,10 @@ class IngestStore:
         path = self.root / "journal.log"
         if not path.exists():
             return []
+        text = path.read_bytes().decode("utf-8")
         entries = []
-        for line in path.read_text(encoding="utf-8").splitlines():
+        # "\n" alone ends a line: a key may hold U+0085 (from a Location) or U+2028
+        for line in text.removesuffix("\n").split("\n") if text else ():
             stamp, key, version, kind = line.split("\t")
             entries.append((stamp, key, int(version), kind))
         return entries
@@ -512,15 +514,8 @@ def _completeness(
 
 
 def _doi_from_identifying(uri: str, policy: ResourcePolicy) -> str | None:
-    for entry in policy.persistent_id_domains:
-        if "://" in entry:
-            if uri.startswith(entry):
-                candidate = unquote(uri[len(entry):].lstrip("/"))
-                break
-        elif urlsplit(uri).netloc.casefold() == entry.casefold():
-            candidate = unquote(urlsplit(uri).path.lstrip("/"))
-            break
-    else:
+    candidate = policy.identifier_in(uri)
+    if candidate is None:
         return None
     try:
         return normalize_doi(candidate)

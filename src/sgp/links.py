@@ -50,6 +50,9 @@ TOKEN_CHARS = frozenset("!#$%&'*+-.^_`|~" + string.ascii_letters + string.digits
 UNQUOTED_VALUE_CHARS = TOKEN_CHARS | frozenset("/:")
 _WS = " \t\r\n"
 _WS_RE = re.compile(r"[ \t\r\n]")
+# what no link target, header or feed, may hold: a target becomes a record
+# key and a tab-separated journal field
+_BAD_TARGET = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
 _MEDIA_TYPE_RE = re.compile(
     r"[!#$%&'*+.^_`|~0-9A-Za-z-]+/[!#$%&'*+.^_`|~0-9A-Za-z-]+"
 )
@@ -297,7 +300,7 @@ def _parse_link_value(
     if close == -1:
         raise MalformedLinkField("missing '>'", i)
     target = s[i + 1 : close]
-    if not target or any(c in _WS for c in target):
+    if not target or _BAD_TARGET.search(target):
         raise MalformedLinkField("bad link target", i + 1)
     i = close + 1
 
@@ -452,8 +455,9 @@ def serialize_link_field(
     """
     parts: list[str] = []
     for link in links:
-        if not link.target or any(c in link.target for c in _WS + "<>"):
-            raise ValueError(f"target not serialisable: {link.target!r}")
+        target = link.target
+        if not target or _BAD_TARGET.search(target) or "<" in target or ">" in target:
+            raise ValueError(f"target not serialisable: {target!r}")
         buf = [_format_param("rel", link.rel.value, always_quote=True)]
         a = link.attrs
         if a.media_type is not None:
@@ -464,7 +468,7 @@ def serialize_link_field(
             buf.append(_format_param(vocabulary.sem_type_params[0], a.sem_type))
         for name, value in a.extra:
             buf.append(_format_param(name, value))
-        parts.append(f"<{link.target}>; " + "; ".join(buf))
+        parts.append(f"<{target}>; " + "; ".join(buf))
     return ", ".join(parts)
 
 

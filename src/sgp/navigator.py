@@ -195,9 +195,7 @@ class SignpostClient:
     host. ``.netrc`` is not read: no request carries credentials.
 
     ``session`` is injectable for tests; it must provide
-    requests.Session semantics, and it keeps its own ``trust_env``. The
-    shared throttle is duck-typed: any object with acquire(host)
-    returning a context manager works.
+    requests.Session semantics, and it keeps its own ``trust_env``.
     """
 
     def __init__(
@@ -207,7 +205,6 @@ class SignpostClient:
         session=None,
         strict: bool = False,
         vocabulary: Vocabulary = DEFAULT_VOCABULARY,
-        throttle: HostThrottle | None = None,
     ):
         self.policy = policy
         # (scheme, netloc) -> proxies, shared by memoised() views; None
@@ -225,7 +222,7 @@ class SignpostClient:
         self._session = session
         self._strict = strict
         self._vocabulary = vocabulary
-        self.throttle = throttle if throttle is not None else HostThrottle(policy)
+        self.throttle = HostThrottle(policy)
         self._memo: dict | None = None  # (method, uri) -> (hops, result)
 
     # -- single request

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from typing import Callable
-from urllib.parse import urlsplit
+from urllib.parse import unquote, urlsplit
 
 from .codec import OMIT, Record
 from .fixity import FixityInfo
@@ -58,7 +58,8 @@ SEM_DATASET = "info:eu-repo/semantics/dataset"
 SEM_OBJECT_FILE = "info:eu-repo/semantics/objectFile"
 SEM_START_PAGE = "info:eu-repo/semantics/humanStartPage"
 
-_SELF_CONTENT = {SEM_ARTICLE, SEM_DATASET}
+# entry pages with these natures are publication resources themselves
+_SELF_CONTENT = frozenset({SEM_ARTICLE, SEM_DATASET})
 
 
 class ResourceRole(enum.Enum):
@@ -106,15 +107,32 @@ class ResourcePolicy:
     )
     semantic_aliases: tuple[tuple[str, str], ...] = field(default_factory=_default_aliases)
 
-    def is_persistent_uri(self, uri: str) -> bool:
-        host = urlsplit(uri).netloc.casefold()
+    def identifier_in(self, uri: str) -> str | None:
+        """The identifier ``uri`` names under the first entry it matches,
+        unescaped (the rest after a prefix, the path under a host), or
+        None when it matches none."""
+        parts = urlsplit(uri)
+        host = parts.netloc.casefold()
         for entry in self.persistent_id_domains:
             if "://" in entry:
                 if uri.startswith(entry):
-                    return True
+                    return unquote(uri[len(entry):].lstrip("/"))
             elif host == entry.casefold():
-                return True
-        return False
+                return unquote(parts.path.lstrip("/"))
+        return None
+
+    def is_persistent_uri(self, uri: str) -> bool:
+        return self.identifier_in(uri) is not None
+
+    def resolving_at(self, uri: str, *prefixes: str) -> ResourcePolicy:
+        """This policy with DOI-style paths under ``uri``'s own origin,
+        and any further ``prefixes``, counted as persistent, so that
+        self-hosted resolvers verify the way the public ones do."""
+        parts = urlsplit(uri)
+        own = f"{parts.scheme}://{parts.netloc}/doi/"
+        return replace(
+            self, persistent_id_domains=(*self.persistent_id_domains, own, *prefixes)
+        )
 
     def canonical_semantic(self, uri: str | None) -> str | None:
         if uri is None:

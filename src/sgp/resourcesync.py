@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import io
 import os
-import re
 import warnings
 import zipfile
 import zlib
@@ -19,7 +18,13 @@ from datetime import datetime
 from typing import IO, Iterable, Sequence
 from xml.etree import ElementTree as ET
 
-from .crossref import CROSSREF_PROFILE, CrossRefWork, MissingDoi, metadata_uri_for, normalize_doi
+from .crossref import (
+    CrossRefWork,
+    MissingDoi,
+    metadata_uri_for,
+    normalize_doi,
+    works_api_link,
+)
 from .fixity import FixityInfo, compute_fixity
 from .links import (
     COLLECTION,
@@ -32,6 +37,7 @@ from .links import (
     LinkSet,
     TypedLink,
     Vocabulary,
+    _BAD_TARGET,
     _MEDIA_TYPE_RE,
     link_attributes,
     relation_type,
@@ -70,9 +76,6 @@ RS_NS = "http://www.openarchives.org/rs/terms/"
 
 ET.register_namespace("", SITEMAP_NS)
 ET.register_namespace("rs", RS_NS)
-
-# a loc becomes a record key and a tab-separated journal field
-_LOC_FORBIDDEN = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
 
 
 class ChangeListError(ValueError):
@@ -171,6 +174,8 @@ def _link_from_ln(
     href = attrib.get("href")
     if not rel_value or not href:
         raise MalformedXml("rs:ln needs rel and href attributes")
+    if _BAD_TARGET.search(href):
+        raise MalformedXml(f"rs:ln href holds whitespace or a control character: {href!r}")
     media_type = sem_type = None
     extras = []
     for name, value in attrib.items():
@@ -218,7 +223,7 @@ def _event_from_url(
     if loc_elem is None or not (loc_elem.text or "").strip():
         raise MalformedXml("url element without loc")
     loc = loc_elem.text.strip()
-    if _LOC_FORBIDDEN.search(loc):
+    if _BAD_TARGET.search(loc):
         raise MalformedXml(f"loc holds whitespace or a control character: {loc!r}")
 
     if md is None:
@@ -454,16 +459,7 @@ def emit_registrar_event(
     loc = f"{resolver_base.rstrip('/')}/{doi}"
     links: tuple[TypedLink, ...] = ()
     if kind != ChangeKind.DELETED:
-        links = (
-            TypedLink(
-                target=metadata_uri_for(doi, api_base=api_base),
-                rel=DESCRIBEDBY,
-                attrs=LinkAttributes(
-                    media_type="application/json", profile=CROSSREF_PROFILE
-                ),
-                source=loc,
-            ),
-        )
+        links = (works_api_link(metadata_uri_for(doi, api_base=api_base), loc),)
     return ChangeEvent(
         loc=loc, kind=kind, datetime=work.deposited, links=LinkSet(links)
     )
@@ -691,13 +687,8 @@ class ChangeDumpIndex:
         self.close()
 
 
-def unpack_change_dump(
-    data: bytes,
-    *,
-    strict: bool = False,
-    vocabulary: Vocabulary = DEFAULT_VOCABULARY,
-) -> tuple[ChangeDumpManifest, dict[str, bytes]]:
-    with ChangeDumpIndex(io.BytesIO(data), strict=strict, vocabulary=vocabulary) as index:
+def unpack_change_dump(data: bytes) -> tuple[ChangeDumpManifest, dict[str, bytes]]:
+    with ChangeDumpIndex(io.BytesIO(data)) as index:
         payloads = {
             path: index.read(path) for path, _ in index.manifest.entries if path is not None
         }

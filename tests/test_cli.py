@@ -962,6 +962,52 @@ class TestUsage:
         assert run(["--help"]) == 0
         assert "resolve" in capsys.readouterr().out
 
+    LEAVES = {
+        "_cmd_resolve": ["resolve", "http://x.example/"],
+        "_cmd_feed_parse": ["feed", "parse", "feed.xml"],
+        "_cmd_feed_emit": ["feed", "emit", "--object", "object.json"],
+        "_cmd_harvest": ["harvest", "--feed", "http://x.example/f.xml"],
+        "_cmd_audit": ["audit", "--entry", "http://x.example/e"],
+        "_cmd_crossref_works": ["crossref", "works", DOI],
+        "_cmd_reconcile": ["reconcile", "article.bib", DOI],
+        "_cmd_fixture_serve": ["fixture", "serve", "spec.json"],
+    }
+
+    @pytest.mark.parametrize("handler", sorted(LEAVES))
+    def test_every_leaf_command_parses_to_its_own_handler(self, handler):
+        args = cli._build_parser().parse_args(self.LEAVES[handler])
+        assert args.run is getattr(cli, handler)
+
+    def test_every_handler_is_a_leaf_command(self):
+        handlers = {name for name in vars(cli) if name.startswith("_cmd_")}
+        assert handlers == set(self.LEAVES)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["harvest", "--feed", "http://127.0.0.1:9/f.xml", "--store", "store"],
+            ["audit", "--entry", "http://127.0.0.1:9/e",
+             "--registrar-feed", "http://127.0.0.1:9/r.xml"],
+            ["crossref", "works", DOI],
+            ["reconcile", str(DATA / "article.bib"), DOI],
+        ],
+        ids=["harvest", "audit-with-registrar-feed", "crossref-works", "reconcile"],
+    )
+    @pytest.mark.parametrize("config", ["missing.json", "not-json", "a-list"])
+    def test_an_unreadable_config_is_a_usage_error_whatever_else_is_given(
+        self, tmp_path, monkeypatch, capsys, argv, config
+    ):
+        # every other input is usable: without the config each command goes
+        # on to the closed port 9 and fails there, not as a usage error
+        monkeypatch.chdir(tmp_path)
+        Path("not-json").write_text("{")
+        Path("a-list").write_text("[]")
+        argv = [*argv, "--api-base", "http://127.0.0.1:9", "--config", config]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and f"config {config}" in err
+        assert run(argv[:-2]) in (1, 3)
+
     @pytest.mark.parametrize(
         "command, document",
         [

@@ -1121,6 +1121,16 @@ class TestStore:
         store.save_record(record)
         assert store.keys() == ["http://x.example/a?b=c&d=e"]
 
+    def test_a_key_holding_other_line_breaks_keeps_its_journal_lines(self, tmp_path):
+        # a redirect's Location can bring U+0085 into an entry URI; only
+        # "\n" ends a journal line
+        key = "http://x.example/a\x85b\u2028c\rd"
+        store = IngestStore(tmp_path)
+        store.save_record(_synthetic_record(key=key))
+        store.save_record(_synthetic_record(key=key))
+        assert [(k, v) for _, k, v, _ in store.journal_entries()] == [(key, 1), (key, 2)]
+        assert store.keys() == [key]
+
     def test_fsck_clean_store_reports_nothing(self, tmp_path):
         store = IngestStore(tmp_path)
         store.store_payload(b"payload")

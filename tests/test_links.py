@@ -213,6 +213,14 @@ class TestParsing:
         links = parse_link_field(field)
         assert [l.target for l in links] == ["http://a.example/1", "http://a.example/2"]
 
+    @pytest.mark.parametrize("bad", ["\x85", "\xa0", "\x00", "\x7f", "\t", "\u2028"])
+    def test_target_with_whitespace_or_control_character_is_dropped(self, bad):
+        # http.client hands Latin-1 bytes such as 0x85 through as they are
+        field = f'<http://a.example/1>; rel=item, <http://a.example/a{bad}b>; rel="persistent-id"'
+        assert [l.target for l in parse_link_field(field)] == ["http://a.example/1"]
+        with pytest.raises(MalformedLinkField, match="bad link target"):
+            parse_link_field(field, strict=True)
+
     def test_strict_fails_whole_field(self):
         field = "<http://a.example/1>; rel=item, junk"
         with pytest.raises(MalformedLinkField):
@@ -272,8 +280,9 @@ class TestSerialization:
         assert parse_link_field(serialize_link_field(original)) == original
 
     def test_bad_target_raises(self):
-        with pytest.raises(ValueError):
-            serialize_link_field([TypedLink(target="http://a.example/a b", rel=ITEM)])
+        for target in ["", "http://a.example/a b", "http://a.example/a\x85b", "http://a.example/<a>"]:
+            with pytest.raises(ValueError):
+                serialize_link_field([TypedLink(target=target, rel=ITEM)])
 
 
 class TestResolve:

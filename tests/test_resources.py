@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sgp.harvester import _doi_from_identifying
 from sgp.links import (
     ITEM,
     LinkAttributes,
@@ -319,6 +320,43 @@ class TestTieBreaking:
         policy = ResourcePolicy(persistent_id_domains=("http://127.0.0.1:9/doi/",))
         assert policy.is_persistent_uri("http://127.0.0.1:9/doi/10.1/x")
         assert not policy.is_persistent_uri("http://127.0.0.1:9/other")
+
+
+class TestPersistentIdentifiers:
+    # uri, the identifier it names, the DOI the harvester reads from it
+    @pytest.mark.parametrize(
+        "uri, identifier, doi",
+        [
+            ("http://127.0.0.1:9/doi/10.1/X", "10.1/X", "10.1/x"),
+            ("http://127.0.0.1:9/doi//10.1/x", "10.1/x", "10.1/x"),
+            ("http://127.0.0.1:9/doi/10.1%2Fa%20b", "10.1/a b", "10.1/a b"),
+            ("https://DX.DOI.org/10.1/Y", "10.1/Y", "10.1/y"),
+            ("http://hdl.handle.net/1721.1/123", "1721.1/123", "1721.1/123"),
+            ("https://doi.org/10.1000%2Fabc%3Fq", "10.1000/abc?q", "10.1000/abc?q"),
+            ("https://doi.org/10.1/p?q=1#f", "10.1/p", "10.1/p"),
+            ("https://doi.org/not-a-doi", "not-a-doi", None),
+            ("https://doi.org", "", None),
+            ("https://doi.org/", "", None),
+            ("http://127.0.0.1:9/doi/", "", None),
+            ("http://127.0.0.1:9/other/10.1/x", None, None),
+            ("http://doi.org.example/10.1/x", None, None),
+            ("urn:doi:10.1/x", None, None),
+        ],
+    )
+    def test_one_rule_names_the_identifier(self, uri, identifier, doi):
+        policy = DEFAULT_POLICY.resolving_at("http://127.0.0.1:9/entry")
+        assert policy.identifier_in(uri) == identifier
+        assert policy.is_persistent_uri(uri) is (identifier is not None)
+        assert _doi_from_identifying(uri, policy) == doi
+
+    def test_resolving_at_adds_the_origin_resolver_then_the_prefixes(self):
+        policy = DEFAULT_POLICY.resolving_at("https://h.example:8/a/b?q=1", "urn:x:")
+        assert policy.persistent_id_domains == (
+            *DEFAULT_POLICY.persistent_id_domains,
+            "https://h.example:8/doi/",
+            "urn:x:",
+        )
+        assert policy.semantic_aliases == DEFAULT_POLICY.semantic_aliases
 
 
 class TestJson:

@@ -207,13 +207,28 @@ class TestParseEdgeCases:
         with pytest.raises(MalformedXml):
             parse_change_list(doc)
 
-    @pytest.mark.parametrize("bad", ["\t", "&#10;", "&#13;"])
+    @pytest.mark.parametrize("bad", ["\t", "&#10;", "&#13;", "&#133;", "&#8232;"])
     def test_loc_with_whitespace_or_control_character(self, bad):
         doc = urlset(
             url(f"http://x.example/a{bad}b", 'change="created" datetime="2016-01-01T00:00:00Z"')
         )
         with pytest.raises(MalformedXml, match="whitespace or a control character"):
             parse_change_list(doc)
+
+    @pytest.mark.parametrize("bad", ["&#9;", "&#10;", "&#133;", "&#8232;", " ", "&#127;"])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_ln_href_with_whitespace_or_control_character(self, bad, strict):
+        # the href becomes a record key and a tab-separated journal field,
+        # so it is held to the rule of a loc
+        doc = urlset(
+            url(
+                "http://x.example/1",
+                'change="created" datetime="2016-01-01T00:00:00Z"',
+                f'<rs:ln rel="persistent-id" href="http://x.example/a{bad}b"/>',
+            )
+        )
+        with pytest.raises(MalformedXml, match="whitespace or a control character"):
+            parse_change_list(doc, strict=strict)
 
     def test_fixity_attributes(self):
         doc = urlset(
