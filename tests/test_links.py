@@ -1,4 +1,6 @@
 import random
+import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from gen import random_link_set
 from sgp.links import (
+    _BAD_TARGET,
     COLLECTION,
     DESCRIBEDBY,
     ITEM,
@@ -395,3 +398,11 @@ def test_round_trip_survives_strict(seed):
     rng = random.Random(seed)
     links = random_link_set(rng)
     assert parse_link_field(serialize_link_field(links), strict=True) == links
+
+
+def test_the_target_rule_is_whitespace_and_control_characters():
+    # the rule spells out what str.isspace accepts; a Unicode version that
+    # changes that set fails here
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    ruled = {c for c in chars if c.isspace() or unicodedata.category(c) == "Cc"}
+    assert set(_BAD_TARGET.findall(chars)) == ruled
