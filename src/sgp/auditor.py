@@ -50,7 +50,6 @@ RECOMMENDATIONS = {
 }
 
 _REGISTRAR_CHECKS = ("R1", "R2", "R3")
-_PUBLISHER_CHECKS = tuple(f"R{i}" for i in range(4, 13))
 # how many feed events and linked documents each check inspects; R5
 # alone looks at every feed event, since the entry's own event may come
 # anywhere in the feed

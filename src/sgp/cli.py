@@ -8,7 +8,8 @@ harvest, failed audit, bibliographic mismatch, no entry page), 2 on bad
 usage, 3 when the network or the store lets us down.
 
 Settings resolve in order: command-line flag, environment (SGP_API_BASE,
-SGP_STORE), ``--config`` JSON file, built-in default.
+SGP_STORE), ``--config`` JSON file, built-in default; an empty value
+counts as unset.
 """
 
 from __future__ import annotations
@@ -55,12 +56,11 @@ from .harvester import (  # noqa: F401 - perfbench/tracing.py wraps ingest here
     ingest_all,
     plan_from_feed,
 )
-from .links import MalformedLinkField, link_to_json
+from .links import MalformedLinkField
 from .navigator import HttpError, NavigationError, SignpostClient
 from .resources import DEFAULT_POLICY, NoEntryPage, ScholarlyObject
 from .resourcesync import (
     ChangeDumpIndex,
-    ChangeEvent,
     ChangeKind,
     ChangeList,
     ChangeListError,
@@ -68,7 +68,7 @@ from .resourcesync import (
     emit_publisher_event,
     parse_change_list,
 )
-from .rfc3339 import format_rfc3339, parse_rfc3339, utcnow
+from .rfc3339 import parse_rfc3339, utcnow
 
 __all__ = ["run", "main"]
 
@@ -101,9 +101,10 @@ def _naming(uri: str):
 
 
 def _pick(flag: str | None, env: str, config: dict, key: str) -> str | None:
-    if flag is not None:
-        return flag
-    return os.environ.get(env) or (str(config[key]) if key in config else None)
+    """The first of the flag, the environment and the config file that
+    names a value; an empty one counts as unset."""
+    value = config.get(key)
+    return flag or os.environ.get(env) or (str(value) if value not in (None, "") else None)
 
 
 def _settle(args: argparse.Namespace) -> None:
@@ -124,7 +125,7 @@ def _settle(args: argparse.Namespace) -> None:
 
 
 def _api_base(args: argparse.Namespace) -> str:
-    return DEFAULT_API_BASE if args.api_base is None else args.api_base
+    return args.api_base or DEFAULT_API_BASE
 
 
 def _origin(uri: str) -> str:
@@ -271,18 +272,6 @@ def _read_source(source: str, client: SignpostClient) -> bytes:
         raise _Usage(f"cannot read {source}: {exc}") from exc
 
 
-def _event_json(event: ChangeEvent) -> dict:
-    data = {
-        "loc": event.loc,
-        "change": event.kind.value,
-        "datetime": format_rfc3339(event.datetime),
-        "links": [link_to_json(link) for link in event.links],
-    }
-    if event.fixity is not None:
-        data["fixity"] = event.fixity.token
-    return data
-
-
 def _cmd_resolve(args: argparse.Namespace) -> int:
     client = SignpostClient()
     policy = DEFAULT_POLICY.resolving_at(args.uri, *args.persistent_prefix)
@@ -297,16 +286,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
 
 def _cmd_feed_parse(args: argparse.Namespace) -> int:
     feed = parse_change_list(_read_source(args.source, SignpostClient()))
-    payload: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "capability": feed.capability,
-        "events": [_event_json(event) for event in feed.events],
-    }
-    if feed.from_time is not None:
-        payload["from"] = format_rfc3339(feed.from_time)
-    if feed.until_time is not None:
-        payload["until"] = format_rfc3339(feed.until_time)
-    _emit_json(payload)
+    _emit_json({"schema_version": SCHEMA_VERSION, **feed.to_json_dict()})
     return EXIT_OK
 
 

@@ -6,11 +6,15 @@ bool, dict and None as they are. A field states where it departs from
 the rule in its ``dataclasses.field(metadata=...)``: ``"omit": True``
 (``OMIT``) leaves it out while it equals its default, ``"key"`` names its
 JSON key (a ``(parent, key)`` pair nests it in the object ``parent``),
-and an ``"encode"``/``"decode"`` pair replaces the rule for its value.
+``"inline": True`` writes the keys of its object into the enclosing one
+and reads them back from there, and an ``"encode"``/``"decode"`` pair
+replaces the rule for its value.
 
 On read a missing key takes the field's default and unknown keys are
 ignored; a field with no plain default, a ``default_factory`` included,
-is required. Each class's plan is built once, on first use.
+is required, and a record's JSON must be an object. The values go in
+field order to the class, or to the callable it names as
+``json_constructor``. Each class's plan is built once, on first use.
 """
 
 from __future__ import annotations
@@ -64,17 +68,22 @@ def _plan(cls: type) -> tuple[_Convert, _Convert]:
             value = obj.uri
             out['uri'] = value
             value = obj.fetched_at
-            if value != default5: out['fetched_at'] = enc5(value)
+            if value is not default5: out['fetched_at'] = enc5(value)
             return out
 
         def decode(data):
-            kw = {}
-            kw['uri'] = data['uri']
-            if 'fetched_at' in data: kw['fetched_at'] = dec5(data['fetched_at'])
-            return cls(**kw)
+            if type(data) is not dict: raise TypeError(not_an_object)
+            return cls(
+                data['uri'],
+                ...
+                dec5(data['fetched_at']) if 'fetched_at' in data else default5,
+            )
     """
     hints = typing.get_type_hints(cls)
-    env: dict = {"cls": cls}
+    env: dict = {
+        "cls": getattr(cls, "json_constructor", cls),
+        "not_an_object": f"{cls.__name__} wants a JSON object",
+    }
     writes, reads = [], []
     for i, f in enumerate(dataclasses.fields(cls)):
         meta = f.metadata
@@ -83,21 +92,30 @@ def _plan(cls: type) -> tuple[_Convert, _Convert]:
         else:
             enc, dec = _converters(hints[f.name])
         env[f"enc{i}"], env[f"dec{i}"], env[f"default{i}"] = enc, dec, f.default
+        if meta.get("inline"):
+            writes.append(f"    out.update(enc{i}(obj.{f.name}))")
+            reads.append(f"        dec{i}(data),")
+            continue
         key = meta.get("key", f.name)
         parent, key = key if isinstance(key, tuple) else (None, key)
         target = "out" if parent is None else f"out.setdefault({parent!r}, {{}})"
         value = "value" if enc is None else f"enc{i}(value)"
         writes.append(f"    value = obj.{f.name}")
-        guard = f"if value != default{i}: " if meta.get("omit") else ""
+        # `is not` where the default is None: the same test, and quicker
+        test = "is not" if f.default is None else "!="
+        guard = f"if value {test} default{i}: " if meta.get("omit") else ""
         writes.append(f"    {guard}{target}[{key!r}] = {value}")
         source = "data" if parent is None else f"data[{parent!r}]"
         read = f"{source}[{key!r}]" if dec is None else f"dec{i}({source}[{key!r}])"
         # a field without a plain default is required: a missing key raises
-        guard = "" if f.default is dataclasses.MISSING else f"if {key!r} in {source}: "
-        reads.append(f"    {guard}kw[{f.name!r}] = {read}")
+        if f.default is not dataclasses.MISSING:
+            read += f" if {key!r} in {source} else default{i}"
+        reads.append(f"        {read},")
+    # the check comes first, since `in` would also answer for a list or a string
     code = "\n".join(
         ["def encode(obj):", "    out = {}", *writes, "    return out"]
-        + ["def decode(data):", "    kw = {}", *reads, "    return cls(**kw)"]
+        + ["def decode(data):", "    if type(data) is not dict: raise TypeError(not_an_object)"]
+        + ["    return cls(", *reads, "    )"]
     )
     exec(compile(code, f"<codec {cls.__qualname__}>", "exec"), env)
     return env["encode"], env["decode"]

@@ -13,8 +13,11 @@ import re
 import string
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator
 from urllib.parse import urljoin, urlsplit
+
+from .codec import OMIT, Record
 
 __all__ = [
     "RelationType",
@@ -31,10 +34,6 @@ __all__ = [
     "serialize_link_field",
     "resolve_targets",
     "select",
-    "link_to_json",
-    "link_from_json",
-    "link_set_to_json",
-    "link_set_from_json",
     "ITEM",
     "COLLECTION",
     "DESCRIBEDBY",
@@ -58,10 +57,6 @@ _MEDIA_TYPE_RE = re.compile(
     r"[!#$%&'*+.^_`|~0-9A-Za-z-]+/[!#$%&'*+.^_`|~0-9A-Za-z-]+"
 )
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-
-REGISTERED_RELATIONS = frozenset(
-    {"item", "collection", "describedby", "describes", "type", "persistent-id"}
-)
 
 
 class MalformedLinkField(ValueError):
@@ -107,10 +102,6 @@ class RelationType:
     @property
     def is_extension(self) -> bool:
         return ":" in self.value
-
-    @property
-    def registered(self) -> bool:
-        return self.key in REGISTERED_RELATIONS
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RelationType):
@@ -178,7 +169,7 @@ DEFAULT_VOCABULARY = Vocabulary()
 
 
 @dataclass(frozen=True)
-class LinkAttributes:
+class LinkAttributes(Record):
     """Attributes attached to a link.
 
     ``extra`` holds unknown parameters, known ones whose value is not
@@ -187,10 +178,10 @@ class LinkAttributes:
     appeared without ``=``.
     """
 
-    media_type: str | None = None
-    profile: str | None = None
-    sem_type: str | None = None
-    extra: tuple[tuple[str, str | None], ...] = ()
+    media_type: str | None = field(default=None, metadata={**OMIT, "key": "type"})
+    profile: str | None = field(default=None, metadata=OMIT)
+    sem_type: str | None = field(default=None, metadata=OMIT)
+    extra: tuple[tuple[str, str | None], ...] = field(default=(), metadata=OMIT)
 
     def __post_init__(self) -> None:
         if self.media_type is not None and not _MEDIA_TYPE_RE.fullmatch(self.media_type):
@@ -208,26 +199,31 @@ def link_attributes(
     return LinkAttributes(media_type, profile, sem_type, extra)
 
 
+# decoded link attributes are the shared instances too
+LinkAttributes.json_constructor = link_attributes
 _NO_ATTRS = link_attributes(None, None, None, ())
 
 
 @dataclass(frozen=True)
-class TypedLink:
-    """One directed, typed link: source --rel--> target."""
+class TypedLink(Record):
+    """One directed, typed link: source --rel--> target. Its JSON object
+    holds the attributes' keys beside ``rel`` and ``target``."""
 
     target: str
-    rel: RelationType
-    attrs: LinkAttributes = _NO_ATTRS
-    source: str | None = None
+    rel: RelationType = field(
+        metadata={"encode": attrgetter("value"), "decode": relation_type}
+    )
+    attrs: LinkAttributes = field(default=_NO_ATTRS, metadata={"inline": True})
+    source: str | None = field(default=None, metadata=OMIT)
 
 
 @dataclass(frozen=True)
-class LinkSet:
+class LinkSet(Record):
     """An ordered collection of typed links, optionally with the base URI
     they were resolved against."""
 
     links: tuple[TypedLink, ...] = ()
-    base: str | None = None
+    base: str | None = field(default=None, metadata=OMIT)
 
     def __iter__(self) -> Iterator[TypedLink]:
         return iter(self.links)
@@ -301,7 +297,8 @@ def _parse_link_value(
     if close == -1:
         raise MalformedLinkField("missing '>'", i)
     target = s[i + 1 : close]
-    if not target or _BAD_TARGET.search(target):
+    # no URI reference holds '<', and serialize_link_field writes none
+    if not target or "<" in target or _BAD_TARGET.search(target):
         raise MalformedLinkField("bad link target", i + 1)
     i = close + 1
 
@@ -471,51 +468,6 @@ def serialize_link_field(
             buf.append(_format_param(name, value))
         parts.append(f"<{target}>; " + "; ".join(buf))
     return ", ".join(parts)
-
-
-def link_to_json(link: TypedLink) -> dict:
-    """Compact JSON form; absent attributes are omitted."""
-    d: dict = {"rel": link.rel.value, "target": link.target}
-    a = link.attrs
-    if a.media_type is not None:
-        d["type"] = a.media_type
-    if a.profile is not None:
-        d["profile"] = a.profile
-    if a.sem_type is not None:
-        d["sem_type"] = a.sem_type
-    if a.extra:
-        d["extra"] = [[name, value] for name, value in a.extra]
-    if link.source is not None:
-        d["source"] = link.source
-    return d
-
-
-def link_from_json(d: dict) -> TypedLink:
-    return TypedLink(
-        target=d["target"],
-        rel=relation_type(d["rel"]),
-        attrs=link_attributes(
-            d.get("type"),
-            d.get("profile"),
-            d.get("sem_type"),
-            tuple((name, value) for name, value in d.get("extra", ())),
-        ),
-        source=d.get("source"),
-    )
-
-
-def link_set_to_json(links: LinkSet) -> dict:
-    d: dict = {"links": [link_to_json(link) for link in links]}
-    if links.base is not None:
-        d["base"] = links.base
-    return d
-
-
-def link_set_from_json(d: dict) -> LinkSet:
-    return LinkSet(
-        tuple(link_from_json(item) for item in d.get("links", [])),
-        base=d.get("base"),
-    )
 
 
 def resolve_targets(links: LinkSet | Iterable[TypedLink], base: str) -> LinkSet:

@@ -23,8 +23,6 @@ from .links import (
     TYPE,
     LinkSet,
     TypedLink,
-    link_set_from_json,
-    link_set_to_json,
     select,
 )
 
@@ -161,9 +159,10 @@ class ResourceDescriptor(Record):
     sem_type: str | None = field(default=None, metadata=OMIT)
     profile: str | None = field(default=None, metadata=OMIT)
     fixity: FixityInfo | None = field(default=None, metadata=OMIT)
+    # not the rule for None, which would read a stored null as no link set
     links: LinkSet | None = field(
         default=None,
-        metadata={**OMIT, "encode": link_set_to_json, "decode": link_set_from_json},
+        metadata={**OMIT, "encode": LinkSet.to_json_dict, "decode": LinkSet.from_json_dict},
     )
 
 

@@ -13,11 +13,13 @@ import os
 import warnings
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
+from operator import attrgetter
 from typing import IO, Iterable, Sequence
 from xml.etree import ElementTree as ET
 
+from .codec import OMIT, Record
 from .crossref import (
     CrossRefWork,
     MissingDoi,
@@ -121,18 +123,22 @@ class ChangeKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ChangeEvent:
+class ChangeEvent(Record):
     """One change to one resource, with typed links giving context.
 
     ``links`` follow the link-header vocabulary exactly; link parameters
-    without a value serialize as empty XML attributes.
+    without a value serialize as empty XML attributes. The JSON form
+    holds the links as a list and the fixity as its token.
     """
 
     loc: str
-    kind: ChangeKind
+    kind: ChangeKind = field(metadata={"key": "change"})
     datetime: datetime
-    links: LinkSet = LinkSet()
-    fixity: FixityInfo | None = None
+    links: LinkSet = field(default=LinkSet(), metadata={"inline": True})
+    fixity: FixityInfo | None = field(
+        default=None,
+        metadata={**OMIT, "encode": attrgetter("token"), "decode": FixityInfo.from_token},
+    )
 
     def __post_init__(self) -> None:
         if not self.loc:
@@ -140,14 +146,14 @@ class ChangeEvent:
 
 
 @dataclass(frozen=True)
-class ChangeList:
+class ChangeList(Record):
     """Events plus the covered interval. Ordering by datetime is
     enforced on emit and warned about on parse, not enforced here
     (parsed feeds may be sloppy)."""
 
     events: tuple[ChangeEvent, ...] = ()
-    from_time: datetime | None = None
-    until_time: datetime | None = None
+    from_time: datetime | None = field(default=None, metadata={**OMIT, "key": "from"})
+    until_time: datetime | None = field(default=None, metadata={**OMIT, "key": "until"})
     capability: str = "changelist"
 
 
@@ -206,7 +212,7 @@ def _link_from_ln(
 
 
 def _event_from_url(
-    url: ET.Element, strict: bool, vocabulary: Vocabulary, with_path: bool
+    url: ET.Element, strict: bool, vocabulary: Vocabulary
 ) -> tuple[ChangeEvent, str | None]:
     # one pass over the children: the first loc, the first md, every ln
     loc_elem = md = None
@@ -253,7 +259,7 @@ def _event_from_url(
             )
         except ValueError as exc:
             raise MalformedXml(f"{loc}: bad hash attribute") from exc
-    path = md.get("path") if with_path else None
+    path = md.get("path")
 
     links: list[TypedLink] = []
     for ln in lns:
@@ -278,7 +284,6 @@ def _parse_urlset(
     expected_capability: str,
     strict: bool,
     vocabulary: Vocabulary,
-    with_paths: bool,
 ) -> tuple[list[tuple[ChangeEvent, str | None]], datetime | None, datetime | None, str]:
     try:
         root = ET.fromstring(xml_text)
@@ -320,7 +325,7 @@ def _parse_urlset(
     if from_time and until_time and from_time > until_time:
         _complain("from is later than until", strict)
 
-    entries = [_event_from_url(url, strict, vocabulary, with_paths) for url in urls]
+    entries = [_event_from_url(url, strict, vocabulary) for url in urls]
     times = [event.datetime for event, _ in entries]
     if any(a > b for a, b in zip(times, times[1:])):
         _complain("events are not ordered by datetime", strict)
@@ -334,7 +339,7 @@ def parse_change_list(
     vocabulary: Vocabulary = DEFAULT_VOCABULARY,
 ) -> ChangeList:
     entries, from_time, until_time, capability = _parse_urlset(
-        xml_text, "changelist", strict, vocabulary, with_paths=False
+        xml_text, "changelist", strict, vocabulary
     )
     return ChangeList(
         events=tuple(event for event, _ in entries),
@@ -363,6 +368,10 @@ def _forges_ln_attribute(
 
 
 def _ln_element(link: TypedLink, vocabulary: Vocabulary) -> ET.Element:
+    if not link.target or _BAD_TARGET.search(link.target):
+        raise FeedViolation(
+            f"href is empty or holds whitespace or a control character: {link.target!r}"
+        )
     elem = ET.Element(f"{{{RS_NS}}}ln")
     elem.set("rel", link.rel.value)
     elem.set("href", link.target)
@@ -385,6 +394,8 @@ def _ln_element(link: TypedLink, vocabulary: Vocabulary) -> ET.Element:
 def _url_element(
     event: ChangeEvent, path: str | None, vocabulary: Vocabulary
 ) -> ET.Element:
+    if _BAD_TARGET.search(event.loc):
+        raise FeedViolation(f"loc holds whitespace or a control character: {event.loc!r}")
     if event.kind == ChangeKind.DELETED and event.links.select(ITEM):
         raise FeedViolation(f"{event.loc}: deleted event cannot carry item links")
     url = ET.Element(f"{{{SITEMAP_NS}}}url")
@@ -640,11 +651,7 @@ class ChangeDumpIndex:
         if "manifest.xml" not in names:
             raise CorruptArchive("no manifest.xml in archive")
         entries, _, _, _ = _parse_urlset(
-            self.read("manifest.xml"),
-            "changedump-manifest",
-            strict,
-            vocabulary,
-            with_paths=True,
+            self.read("manifest.xml"), "changedump-manifest", strict, vocabulary
         )
         seen: set[str] = set()
         manifest_entries: list[tuple[str | None, ChangeEvent]] = []

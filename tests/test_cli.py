@@ -48,6 +48,30 @@ def endpoint():
         yield ep
 
 
+@contextlib.contextmanager
+def _serving(body, content_type):
+    """A server that answers every GET with 200 and ``body``; yields its base URI."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            self.send_response(200)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def _out_json(capsys):
     captured = capsys.readouterr()
     return json.loads(captured.out), captured.err
@@ -86,6 +110,12 @@ class TestFeed:
         event = payload["events"][0]
         assert event["change"] == "created"
         assert event["loc"].startswith("http://dx.doi.org/")
+
+    def test_parse_prints_the_golden_document(self, capsys):
+        rc = run(["feed", "parse", str(DATA / "publisher_event.xml")])
+        assert rc == 0
+        golden = DATA / "golden" / "feed_parse_publisher.json"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     def test_parse_fetches_a_uri(self, endpoint, capsys):
         rc = run(["feed", "parse", endpoint.publisher_feed_uri])
@@ -220,13 +250,12 @@ class TestHarvest:
             assert out[at] in ",]"
 
     def test_feed_loc_with_a_tab_is_unavailable(self, tmp_path, capsys):
-        spec = FixtureSpec.from_json_dict(
-            {**plos_spec().to_json_dict(), "entry_path": "/plosone/art\ticle"}
-        )
-        with serve(spec) as ep:
-            rc = run(
-                ["harvest", "--feed", ep.publisher_feed_uri, "--store", str(tmp_path / "store")]
-            )
+        # the feed writer refuses such a loc, so the tab goes in afterwards
+        with serve(plos_spec()) as ep:
+            with urllib.request.urlopen(ep.publisher_feed_uri, timeout=5) as resp:
+                body = resp.read().replace(b"/plosone/article", b"/plosone/art\ticle")
+            with _serving(body, "application/xml") as base:
+                rc = run(["harvest", "--feed", base, "--store", str(tmp_path / "store")])
         captured = capsys.readouterr()
         assert rc == 3
         assert captured.out == ""
@@ -754,24 +783,8 @@ _NO_WORK_AT_ALL = ["html", "work-list", "no-doi", "bad-doi", "author-not-object"
 def not_a_work_api(request):
     """A works API that answers every GET with 200 and the ``_NOT_WORKS``
     body named by the test's parameter; yields its base URI."""
-    body = _NOT_WORKS[request.param]
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_GET(self):
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
+    with _serving(_NOT_WORKS[request.param], "application/json") as base:
+        yield base
 
 
 class TestCrossrefWorks:
@@ -799,6 +812,20 @@ class TestCrossrefWorks:
         payload, _ = _out_json(capsys)
         assert rc == 0
         assert payload["message"]["DOI"] == DOI
+
+    def test_an_empty_flag_counts_as_unset(self, endpoint, monkeypatch, capsys):
+        monkeypatch.setenv("SGP_API_BASE", endpoint.base_uri)
+        rc = run(["crossref", "works", DOI, "--api-base", ""])
+        payload, _ = _out_json(capsys)
+        assert rc == 0
+        assert payload["message"]["DOI"] == DOI
+
+    def test_an_empty_config_value_counts_as_unset(self, monkeypatch):
+        monkeypatch.delenv("SGP_API_BASE", raising=False)
+        assert cli._pick(None, "SGP_API_BASE", {"api_base": ""}, "api_base") is None
+        assert cli._pick("", "SGP_API_BASE", {"api_base": "http://c.example"}, "api_base") == (
+            "http://c.example"
+        )
 
     def test_flag_beats_environment(self, endpoint, monkeypatch, capsys):
         monkeypatch.setenv("SGP_API_BASE", "http://127.0.0.1:9")
@@ -1016,10 +1043,17 @@ class TestUsage:
             (["feed", "emit", "--object"],
              {"entry_page": {"uri": "http://x.example/e", "role": "entry-page", "links": None}}),
             (["feed", "emit", "--object"],
+             {"entry_page": {"uri": "http://x.example/e", "role": "entry-page", "links": []}}),
+            (["feed", "emit", "--object"],
              {"entry_page": {"uri": "http://x.example/e", "role": "entry-page",
                              "fixity": {"algorithm": 5, "digest": "00"}}}),
         ],
-        ids=["policy-rules-a-list", "object-links-null", "object-fixity-algorithm-a-number"],
+        ids=[
+            "policy-rules-a-list",
+            "object-links-null",
+            "object-links-a-list",
+            "object-fixity-algorithm-a-number",
+        ],
     )
     def test_wrong_typed_json_file_is_usage_error(
         self, tmp_path, monkeypatch, capsys, command, document

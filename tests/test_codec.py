@@ -1,14 +1,16 @@
-"""Golden JSON: stored records, CLI documents and fixture specs written by
-the hand-written encoders, read back and written again byte for byte.
+"""Golden JSON: stored records, CLI documents and fixture specs, read
+back through ``sgp.codec`` and written again byte for byte.
 
-The files under ``data/golden/`` were produced once and are never
-regenerated: the random records from ``gen.random_ingest_record`` (seed
-20260823), the record a harvest of ``plos_spec()`` stored, the object
-``sgp resolve`` printed for it, the two fixture specs, a substance
-policy, a reconciliation of ``article.bib`` against ``work_rosenthal.json``
-and an audit of the ``no-entry-describedby`` fixture with a fixed
-``generated_at``. Each is ``json.dumps(..., sort_keys=True)`` plus a
-newline, the form the store and the CLI write.
+The files under ``data/golden/`` were produced once, by the encoders of
+their day, and are never regenerated: the random records from
+``gen.random_ingest_record`` (seed 20260823), the record a harvest of
+``plos_spec()`` stored, the object ``sgp resolve`` printed for it, the
+document ``sgp feed parse`` printed for ``publisher_event.xml``, the two
+fixture specs, a substance policy, a reconciliation of ``article.bib``
+against ``work_rosenthal.json`` and an audit of the ``no-entry-describedby``
+fixture with a fixed ``generated_at``. Each is
+``json.dumps(..., sort_keys=True)`` plus a newline, the form the store and
+the CLI write.
 """
 
 import json
@@ -22,11 +24,13 @@ from sgp.codec import SCHEMA_VERSION
 from sgp.fixtures import FixtureSpec
 from sgp.harvester import IngestRecord, SubstancePolicy
 from sgp.resources import ScholarlyObject
+from sgp.resourcesync import ChangeList
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 CLASSES = {
     "audit_report.json": AuditReport,
+    "feed_parse_publisher.json": ChangeList,
     "reconcile_report.json": ReconciliationReport,
     "record_harvested_plos.json": IngestRecord,
     "record_random_author_without_given.json": IngestRecord,
@@ -45,8 +49,8 @@ def test_golden_file_is_written_again_byte_for_byte(name):
     text = (GOLDEN / name).read_text(encoding="utf-8")
     data = json.loads(text)
     document = CLASSES[name].from_json_dict(data).to_json_dict()
-    if name.startswith("resolve_"):
-        # `sgp resolve` puts the schema version beside the object
+    if name.startswith(("resolve_", "feed_parse_")):
+        # `sgp resolve` and `sgp feed parse` put the schema version beside the object
         document = {"schema_version": SCHEMA_VERSION, **document}
     assert json.dumps(document, sort_keys=True) + "\n" == text
 

@@ -23,7 +23,6 @@ from sgp.links import (
     TypedLink,
     Vocabulary,
     link_attributes,
-    link_from_json,
     parse_link_field,
     relation_type,
     resolve_targets,
@@ -224,6 +223,12 @@ class TestParsing:
         with pytest.raises(MalformedLinkField, match="bad link target"):
             parse_link_field(field, strict=True)
 
+    def test_target_holding_a_left_angle_bracket_is_dropped(self):
+        field = "<http://a.example/<b>; rel=item, <http://a.example/1>; rel=item"
+        assert [l.target for l in parse_link_field(field)] == ["http://a.example/1"]
+        with pytest.raises(MalformedLinkField, match="bad link target"):
+            parse_link_field(field, strict=True)
+
     def test_strict_fails_whole_field(self):
         field = "<http://a.example/1>; rel=item, junk"
         with pytest.raises(MalformedLinkField):
@@ -356,7 +361,7 @@ class TestSharedValues:
         attrs = link_attributes("application/pdf", None, None, (("title", "a"),))
         assert attrs is link_attributes("application/pdf", None, None, (("title", "a"),))
         assert attrs == LinkAttributes(media_type="application/pdf", extra=(("title", "a"),))
-        restored = link_from_json(
+        restored = TypedLink.from_json_dict(
             {"rel": "x-shared", "target": "t", "type": "application/pdf", "extra": [["title", "a"]]}
         )
         assert restored.attrs is attrs
@@ -398,6 +403,24 @@ def test_round_trip_survives_strict(seed):
     rng = random.Random(seed)
     links = random_link_set(rng)
     assert parse_link_field(serialize_link_field(links), strict=True) == links
+
+
+# any text, and lists of link-values whose parts hold the field's delimiters
+_PART = st.text(alphabet='<>;,="\\ \t\x85a', max_size=6)
+_LINK_VALUE = st.builds(
+    "<{}>; {}{}".format, _PART, st.sampled_from(["rel=item", 'rel="a b"', "type=a/b; rel=x"]), _PART
+)
+_LINK_TEXT = st.text() | st.lists(_LINK_VALUE | _PART).map(",".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LINK_TEXT, st.booleans())
+def test_whatever_parses_serialises(text, strict):
+    try:
+        links = parse_link_field(text, strict=strict)
+    except MalformedLinkField:
+        return
+    serialize_link_field(links)
 
 
 def test_the_target_rule_is_whitespace_and_control_characters():

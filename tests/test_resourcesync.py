@@ -31,7 +31,6 @@ from sgp.links import (
     TypedLink,
     Vocabulary,
     link_attributes,
-    link_set_to_json,
     parse_link_field,
     relation_type,
 )
@@ -402,6 +401,33 @@ class TestEmit:
         )
         with pytest.raises(FeedViolation, match="'href'"):
             emit_change_list(ChangeList(events=(event,)))
+
+    @pytest.mark.parametrize(
+        "target", ["http://a.example/a b", "http://a.example/\tb", "http://a.example/\u2028", ""]
+    )
+    def test_emit_refuses_a_link_target_the_reader_refuses(self, target):
+        event = ChangeEvent(
+            loc="http://x.example/1",
+            kind=ChangeKind.CREATED,
+            datetime=datetime(2016, 1, 1, tzinfo=UTC),
+            links=LinkSet((TypedLink(target=target, rel=ITEM),)),
+        )
+        with pytest.raises(FeedViolation, match="href"):
+            emit_change_list(ChangeList(events=(event,)))
+        with pytest.raises(FeedViolation, match="href"):
+            pack_change_dump([(event, b"x")])
+
+    @pytest.mark.parametrize(
+        "loc", ["http://x.example/a\tb", "http://x.example/a b", " http://x.example/1"]
+    )
+    def test_emit_refuses_a_loc_the_reader_refuses(self, loc):
+        event = ChangeEvent(
+            loc=loc, kind=ChangeKind.CREATED, datetime=datetime(2016, 1, 1, tzinfo=UTC)
+        )
+        with pytest.raises(FeedViolation, match="loc"):
+            emit_change_list(ChangeList(events=(event,)))
+        with pytest.raises(FeedViolation, match="loc"):
+            pack_change_dump([(event, b"x")])
 
     def test_emit_refuses_inverted_interval(self):
         feed = ChangeList(
@@ -1015,11 +1041,17 @@ def _as_parsed(event):
             for link in event.links
         )
     )
-    return (event.loc, event.kind, event.datetime, event.fixity, link_set_to_json(links))
+    return (event.loc, event.kind, event.datetime, event.fixity, links.to_json_dict())
 
 
 def _comparable(event):
-    return (event.loc, event.kind, event.datetime, event.fixity, link_set_to_json(event.links))
+    return (event.loc, event.kind, event.datetime, event.fixity, event.links.to_json_dict())
+
+
+@given(_links("http://host.example/entry"))
+@settings(max_examples=150, deadline=None)
+def test_a_link_round_trips_through_its_json(link):
+    assert TypedLink.from_json_dict(link.to_json_dict()) == link
 
 
 def _upper_hashes(xml):
