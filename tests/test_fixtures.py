@@ -1,8 +1,11 @@
 """Tests for the embedded publisher/registrar fixture server."""
 
+import hashlib
+import http.client
 import json
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -484,3 +487,95 @@ class TestSpecSerialization:
         again = FixtureSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
         assert again == spec
         assert again.status_scripts == (("/journal/vol1/demo", (500, 200)),)
+
+
+GOLDEN_RESPONSES = Path(__file__).parent / "data" / "golden" / "fixture_responses.json"
+PATTERNS = {"plos_spec": plos_spec, "landing_spec": landing_spec}
+FIXTURES = ("clean", *sorted(ABLATION_KEYS))
+BASE = "http://fixture.invalid"
+# set by the server, not by the fixture: the clock and the Python version
+_UNPINNED = frozenset({"Date", "Server"})
+
+
+def _routes(spec):
+    """Every path the server answers for one spec, plus one it does not."""
+    doi = spec.doi
+    return [
+        f"/doi/{doi}",
+        f"/locate/{doi}",
+        spec.entry_path,
+        *(asset.path for asset in spec.assets),
+        spec.entry_path + ".bib",
+        spec.entry_path + ".ris",
+        f"/works/{doi}",
+        f"/works?filter=doi:{doi}",
+        "/registrar/changelist.xml",
+        "/changelist.xml",
+        "/loop",
+        "/plain",
+        "/no/such/path",
+    ]
+
+
+def golden_responses(pattern, fixture):
+    """One entry of ``fixture_responses.json`` per route of one fixture:
+    the GET's status, its headers in order and the sha256 of its body,
+    with the server's base URI replaced by ``BASE``. ``Content-Length``
+    is checked against the body here and then left out, since the base
+    URI's length is the port's."""
+    spec = PATTERNS[pattern]()
+    if fixture != "clean":
+        spec = degrade(spec, fixture)
+    entries = []
+    with serve(spec) as ep:
+        host, port = ep.base_uri[len("http://") :].split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=5)
+        try:
+            for path in _routes(spec):
+                connection.request("GET", path)
+                response = connection.getresponse()
+                body = response.read()
+                headers = []
+                for name, value in response.getheaders():
+                    if name == "Content-Length":
+                        assert int(value) == len(body)
+                    elif name not in _UNPINNED:
+                        headers.append([name, value.replace(ep.base_uri, BASE)])
+                normalised = body.replace(ep.base_uri.encode(), BASE.encode())
+                entries.append(
+                    {
+                        "pattern": pattern,
+                        "fixture": fixture,
+                        "path": path,
+                        "status": response.status,
+                        "headers": headers,
+                        "body_sha256": hashlib.sha256(normalised).hexdigest(),
+                    }
+                )
+        finally:
+            connection.close()
+    return entries
+
+
+class TestGoldenResponses:
+    """Every route of both patterns, clean and under each ablation,
+    answers as recorded in ``data/golden/fixture_responses.json``. The
+    file was written once by ``golden_responses`` and is never
+    regenerated: the stand-in's bytes are what the benchmark's
+    per-object response size measures."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        by_case = {}
+        for entry in json.loads(GOLDEN_RESPONSES.read_text(encoding="utf-8")):
+            by_case.setdefault((entry["pattern"], entry["fixture"]), []).append(entry)
+        return by_case
+
+    def test_every_case_is_recorded(self, golden):
+        assert sorted(golden) == sorted((p, f) for p in PATTERNS for f in FIXTURES)
+        assert sum(len(entries) for entries in golden.values()) == 464
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    @pytest.mark.parametrize("pattern", sorted(PATTERNS))
+    def test_responses_are_unchanged(self, golden, pattern, fixture):
+        assert golden_responses(pattern, fixture) == golden[pattern, fixture]
