@@ -30,7 +30,9 @@ from .links import (
     TYPE,
     LinkAttributes,
     LinkSet,
+    RelationType,
     TypedLink,
+    _BAD_TARGET,
     serialize_link_field,
 )
 from .resources import (
@@ -100,6 +102,12 @@ _EXTRA_KEYS = frozenset(
 ABLATION_KEYS = frozenset(ABLATION_RECOMMENDATION) | _EXTRA_KEYS
 
 
+def _check_path(path: str) -> None:
+    """A served path is part of a link target, so it obeys the link-target rule."""
+    if _BAD_TARGET.search(path):
+        raise ValueError(f"path breaks the link-target rule: {path!r}")
+
+
 @dataclass(frozen=True)
 class AssetSpec(Record):
     """One publication resource other than the entry page."""
@@ -109,6 +117,9 @@ class AssetSpec(Record):
     sem_type: str
     body_text: str
     pad_to: int | None = field(default=None, metadata=OMIT)
+
+    def __post_init__(self) -> None:
+        _check_path(self.path)
 
     def body(self) -> bytes:
         raw = self.body_text.encode("utf-8")
@@ -132,6 +143,9 @@ class FixtureSpec(Record):
     member: str
     ablations: frozenset[str] = frozenset()
     status_scripts: tuple[tuple[str, tuple[int, ...]], ...] = ()
+
+    def __post_init__(self) -> None:
+        _check_path(self.entry_path)
 
 
 def plos_spec(*, pdf_bytes: int = 2048) -> FixtureSpec:
@@ -243,6 +257,28 @@ class _Response:
     body: bytes
 
 
+def _json_envelope(message_type: str, message: dict) -> _Response:
+    """A works-API answer: ``message`` in the API's envelope."""
+    doc = {
+        "message": message,
+        "message-type": message_type,
+        "message-version": "1.0.0",
+        "status": "ok",
+    }
+    body = json.dumps(doc, sort_keys=True, indent=1).encode("utf-8")
+    return _Response(200, (("Content-Type", "application/json"),), body)
+
+
+# the relations each ablation drops from the entry page's Link header and
+# from its change-list event
+_ENTRY_DROPS = {"no-entry-item-links": ITEM, "no-entry-describedby": DESCRIBEDBY}
+_FEED_DROPS = {
+    "no-feed-item-links": ITEM,
+    "no-feed-describedby": DESCRIBEDBY,
+    "no-feed-persistent-id": PERSISTENT_ID,
+}
+
+
 class _ObjectView:
     """One spec bound to a running server's base URI."""
 
@@ -282,32 +318,6 @@ class _ObjectView:
         return [self.uri(asset.path) for asset in self.spec.assets]
 
     # -- link building
-
-    def _entry_links(self) -> list[TypedLink]:
-        spec = self.spec
-        entry = self.entry_uri
-        links: list[TypedLink] = [
-            TypedLink(target=spec.entry_sem_type, rel=TYPE, source=entry)
-        ]
-        if not self._off("no-doi-anywhere"):
-            links.append(
-                TypedLink(target=self.doi_uri, rel=PERSISTENT_ID, source=entry)
-            )
-        if not self._off("no-entry-item-links"):
-            for asset in spec.assets:
-                links.append(
-                    TypedLink(
-                        target=self.uri(asset.path),
-                        rel=ITEM,
-                        attrs=LinkAttributes(
-                            media_type=asset.media_type, sem_type=asset.sem_type
-                        ),
-                        source=entry,
-                    )
-                )
-        if not self._off("no-entry-describedby"):
-            links.extend(self._bib_links(entry))
-        return links
 
     def _bib_links(self, source: str) -> list[TypedLink]:
         return [
@@ -422,15 +432,6 @@ class _ObjectView:
             "volume": bib["volume"],
         }
 
-    def work_envelope(self) -> bytes:
-        doc = {
-            "message": self.work_json_dict(),
-            "message-type": "work",
-            "message-version": "1.0.0",
-            "status": "ok",
-        }
-        return json.dumps(doc, sort_keys=True, indent=1).encode("utf-8")
-
     def bibtex_body(self) -> bytes:
         bib = self.spec.bib
         authors = " and ".join(f"{f}, {g}" for f, g in bib["authors"])
@@ -474,22 +475,23 @@ class _ObjectView:
             event = dataclasses.replace(event, loc=self.entry_uri)
         return event
 
-    def publisher_event(self) -> ChangeEvent:
+    def announcement(self, drops: dict[str, RelationType]) -> ChangeEvent:
+        """The publisher's one announcement of the entry page, minus the
+        relations that ``drops`` maps each active ablation key to; the
+        entry page's Link header and the change-list event both say it."""
         event = emit_publisher_event(
             self.scholarly_object(),
             ChangeKind.CREATED,
             parse_rfc3339(self.spec.deposited),
         )
-        drop = set()
-        if self._off("no-feed-item-links"):
-            drop.add("item")
-        if self._off("no-feed-describedby"):
-            drop.add("describedby")
-        if self._off("no-feed-persistent-id"):
-            drop.add("persistent-id")
-        if drop:
-            kept = tuple(l for l in event.links if l.rel.key not in drop)
+        dropped = {rel for key, rel in drops.items() if self._off(key)}
+        if dropped:
+            kept = tuple(link for link in event.links if link.rel not in dropped)
             event = dataclasses.replace(event, links=LinkSet(kept))
+        return event
+
+    def publisher_event(self) -> ChangeEvent:
+        event = self.announcement(_FEED_DROPS)
         if self._off("publisher-loc-not-entry"):
             event = dataclasses.replace(event, loc=self.uri(self.spec.assets[0].path))
         return event
@@ -507,7 +509,7 @@ class _ObjectView:
             if self._off("malformed-entry-header"):
                 headers = (("Link", '<http://unterminated ; rel="item'),)
             else:
-                headers = link_header(self._entry_links())
+                headers = link_header(self.announcement(_ENTRY_DROPS).links)
             body = b"<html><body>fixture entry page</body></html>\n"
             return _Response(200, (("Content-Type", "text/html"),) + headers, body)
         for asset in spec.assets:
@@ -534,9 +536,7 @@ class _ObjectView:
                 )
             return _Response(200, headers, body)
         if path == f"/works/{spec.doi}":
-            return _Response(
-                200, (("Content-Type", "application/json"),), self.work_envelope()
-            )
+            return _json_envelope("work", self.work_json_dict())
         return None
 
 
@@ -661,18 +661,14 @@ class FixtureEndpoint:
         matching = [
             view.work_json_dict() for view in self.views if view.spec.doi.lower() in wanted
         ]
-        doc = {
-            "message": {
+        return _json_envelope(
+            "work-list",
+            {
                 "items": matching[: max(rows, 0)],
                 "items-per-page": rows,
                 "total-results": len(matching),
             },
-            "message-type": "work-list",
-            "message-version": "1.0.0",
-            "status": "ok",
-        }
-        body = json.dumps(doc, sort_keys=True, indent=1).encode("utf-8")
-        return _Response(200, (("Content-Type", "application/json"),), body)
+        )
 
     def _link_header(self, links: Iterable[TypedLink]) -> tuple[tuple[str, str], ...]:
         value = serialize_link_field(links)

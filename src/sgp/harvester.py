@@ -49,7 +49,6 @@ from .fixity import (
     FixityInfo,
     FixityVerdict,
     UnsupportedAlgorithm,
-    compute_fixity,
     verify_fixity,
 )
 from .links import MalformedLinkField
@@ -95,7 +94,6 @@ __all__ = [
     "ingest",
     "ingest_all",
     "REGISTRAR_WINDOW",
-    "record_tombstone",
     "pack_object_dump",
 ]
 
@@ -966,17 +964,9 @@ def _finish(gathered: _Gathered, lookup: Callable[[str], CrossRefWork]) -> Inges
     )
 
 
-def record_tombstone(task: IngestTask, store: IngestStore) -> IngestRecord:
+def _tombstone(task: IngestTask) -> IngestRecord:
     """Mark an object deleted. Payloads stay; only the record history
     says the publisher withdrew it."""
-    record = _tombstone(task)
-    store.save_record(record)
-    return record
-
-
-def _tombstone(task: IngestTask) -> IngestRecord:
-    if not task.tombstone:
-        raise ValueError("not a tombstone task")
     trigger = task.trigger
     obj = (
         object_from_links(trigger.loc, trigger.links)
@@ -1014,50 +1004,22 @@ def pack_object_dump(
     present. Returns (trigger event, dump bytes).
     """
     entry_uri = obj.entry_page.uri
+    missing = [desc.uri for desc in obj.publication_resources if desc.uri not in bodies]
+    if missing:
+        raise ValueError(f"bodies missing for publication resources: {missing}")
     trigger = emit_publisher_event(obj, kind, when)
     entries: list[tuple[ChangeEvent, bytes | None]] = []
     if entry_uri in bodies:
         entries.append((trigger, bodies[entry_uri]))
-    missing = [
-        desc.uri
-        for desc in obj.publication_resources
-        if desc.uri not in bodies
-    ]
-    if missing:
-        raise ValueError(f"bodies missing for publication resources: {missing}")
-    for desc in obj.publication_resources:
-        if desc.uri == entry_uri:
-            continue
-        payload = bodies[desc.uri]
-        entries.append(
-            (
-                emit_resource_event(
-                    desc.uri,
-                    entry_uri=entry_uri,
-                    kind=kind,
-                    when=when,
-                    identifying_uri=obj.identifying_uri,
-                    fixity=compute_fixity(payload),
-                    sem_type=desc.sem_type,
-                ),
-                payload,
+    for desc in (*obj.publication_resources, *obj.bibliographic_resources):
+        if desc.uri != entry_uri and desc.uri in bodies:
+            event = emit_resource_event(
+                desc.uri,
+                entry_uri=entry_uri,
+                kind=kind,
+                when=when,
+                identifying_uri=obj.identifying_uri,
+                sem_type=desc.sem_type,
             )
-        )
-    for desc in obj.bibliographic_resources:
-        payload = bodies.get(desc.uri)
-        if payload is None:
-            continue
-        entries.append(
-            (
-                emit_resource_event(
-                    desc.uri,
-                    entry_uri=entry_uri,
-                    kind=kind,
-                    when=when,
-                    identifying_uri=obj.identifying_uri,
-                    fixity=compute_fixity(payload),
-                ),
-                payload,
-            )
-        )
+            entries.append((event, bodies[desc.uri]))
     return trigger, pack_change_dump(entries)

@@ -51,8 +51,13 @@ _WS = " \t\r\n"
 _WS_RE = re.compile(r"[ \t\r\n]")
 # what no link target, header or feed, may hold, since a target becomes a
 # record key and a tab-separated journal field: whitespace (what str.isspace
-# accepts, spelt out, which matches twice as fast as \s) and control characters
-_BAD_TARGET = re.compile(r"[\x00-\x20\x7f-\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
+# accepts, spelt out, which matches twice as fast as \s), control characters,
+# and what XML 1.0's Char production excludes besides (surrogates, U+FFFE and
+# U+FFFF), since a target becomes a feed's loc or href
+_BAD_TARGET = re.compile(
+    r"[\x00-\x20\x7f-\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000"
+    r"\ud800-\udfff\ufffe\uffff]"
+)
 _MEDIA_TYPE_RE = re.compile(
     r"[!#$%&'*+.^_`|~0-9A-Za-z-]+/[!#$%&'*+.^_`|~0-9A-Za-z-]+"
 )

@@ -13,7 +13,7 @@ import os
 import warnings
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 from operator import attrgetter
 from typing import IO, Iterable, Sequence
@@ -170,6 +170,7 @@ def _local(tag: str) -> str:
 
 
 _KNOWN_LN_ATTRS = frozenset(("rel", "href", "profile"))
+_BAD_TARGET_TEXT = "whitespace or a control character or a non-XML character"
 
 
 def _link_from_ln(
@@ -181,7 +182,7 @@ def _link_from_ln(
     if not rel_value or not href:
         raise MalformedXml("rs:ln needs rel and href attributes")
     if _BAD_TARGET.search(href):
-        raise MalformedXml(f"rs:ln href holds whitespace or a control character: {href!r}")
+        raise MalformedXml(f"rs:ln href holds {_BAD_TARGET_TEXT}: {href!r}")
     media_type = sem_type = None
     extras = []
     for name, value in attrib.items():
@@ -230,7 +231,7 @@ def _event_from_url(
         raise MalformedXml("url element without loc")
     loc = loc_elem.text.strip()
     if _BAD_TARGET.search(loc):
-        raise MalformedXml(f"loc holds whitespace or a control character: {loc!r}")
+        raise MalformedXml(f"loc holds {_BAD_TARGET_TEXT}: {loc!r}")
 
     if md is None:
         raise MissingChangeAttribute(f"{loc}: url without rs:md")
@@ -369,9 +370,7 @@ def _forges_ln_attribute(
 
 def _ln_element(link: TypedLink, vocabulary: Vocabulary) -> ET.Element:
     if not link.target or _BAD_TARGET.search(link.target):
-        raise FeedViolation(
-            f"href is empty or holds whitespace or a control character: {link.target!r}"
-        )
+        raise FeedViolation(f"href is empty or holds {_BAD_TARGET_TEXT}: {link.target!r}")
     elem = ET.Element(f"{{{RS_NS}}}ln")
     elem.set("rel", link.rel.value)
     elem.set("href", link.target)
@@ -395,7 +394,7 @@ def _url_element(
     event: ChangeEvent, path: str | None, vocabulary: Vocabulary
 ) -> ET.Element:
     if _BAD_TARGET.search(event.loc):
-        raise FeedViolation(f"loc holds whitespace or a control character: {event.loc!r}")
+        raise FeedViolation(f"loc holds {_BAD_TARGET_TEXT}: {event.loc!r}")
     if event.kind == ChangeKind.DELETED and event.links.select(ITEM):
         raise FeedViolation(f"{event.loc}: deleted event cannot carry item links")
     url = ET.Element(f"{{{SITEMAP_NS}}}url")
@@ -556,17 +555,14 @@ def emit_resource_event(
 def pack_change_dump(
     entries: Sequence[tuple[ChangeEvent, bytes | None]],
     *,
-    paths: Sequence[str | None] | None = None,
     add_fixity: bool = True,
     vocabulary: Vocabulary = DEFAULT_VOCABULARY,
 ) -> bytes:
     """ZIP a batch of events with their payloads; manifest.xml at the
-    root carries per-entry archive paths. Output bytes are deterministic
-    for identical input."""
-    if paths is not None and len(paths) != len(entries):
-        raise ValueError("paths must align with entries")
+    root gives each payload's archive path, ``resources/NNNN.dat`` by its
+    position in ``entries``. Output bytes are deterministic for identical
+    input."""
     resolved: list[tuple[ChangeEvent, bytes | None, str | None]] = []
-    used: set[str] = set()
     for index, (event, payload) in enumerate(entries):
         if event.kind == ChangeKind.DELETED:
             if payload is not None:
@@ -575,21 +571,9 @@ def pack_change_dump(
             continue
         if payload is None:
             raise MissingPayload(event.loc)
-        path = paths[index] if paths is not None and paths[index] else f"resources/{index:04d}.dat"
-        if path == "manifest.xml":
-            raise ManifestPathCollision(path)
-        if path in used:
-            raise ManifestPathCollision(path)
-        used.add(path)
         if add_fixity and event.fixity is None:
-            event = ChangeEvent(
-                loc=event.loc,
-                kind=event.kind,
-                datetime=event.datetime,
-                links=event.links,
-                fixity=compute_fixity(payload),
-            )
-        resolved.append((event, payload, path))
+            event = replace(event, fixity=compute_fixity(payload))
+        resolved.append((event, payload, f"resources/{index:04d}.dat"))
 
     manifest_xml = _build_urlset(
         ((event, path) for event, _, path in resolved),

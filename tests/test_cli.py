@@ -973,6 +973,19 @@ class TestFixtureServe:
         rc = run(["fixture", "serve", "no-such-spec.json"])
         assert rc == 2
 
+    def test_spec_whose_path_breaks_the_link_target_rule_is_usage_error(self):
+        # the entry path holds a tab; a server that started anyway would run
+        # until the timeout, and answer its feed by dropping the connection
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgp", "fixture", "serve", str(DATA / "fixture_spec_tab_path.json")],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "link-target rule" in proc.stderr
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

@@ -56,8 +56,9 @@ def test_golden_file_is_written_again_byte_for_byte(name):
 
 
 # golden files that other suites read: the audit reports of every
-# pattern and ablation, which tests/test_auditor.py re-audits
-READ_ELSEWHERE = {"audit_matrix.jsonl"}
+# pattern and ablation, which tests/test_auditor.py re-audits, and the
+# fixture's responses, which tests/test_fixtures.py requests again
+READ_ELSEWHERE = {"audit_matrix.jsonl", "fixture_responses.json"}
 
 
 def test_every_golden_file_is_read():

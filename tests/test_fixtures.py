@@ -11,6 +11,7 @@ import pytest
 
 from sgp.bibliography import parse_bibtex, parse_ris, from_crossref, reconcile
 from gen import distinct_specs
+from sgp.codec import DECODE_ERRORS
 from sgp.crossref import parse_work, parse_work_list
 from sgp.fixtures import (
     ABLATION_KEYS,
@@ -474,6 +475,20 @@ class TestServerBehavior:
 
 
 class TestSpecSerialization:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda data: data.update(entry_path="/plosone/art\ticle"),
+            lambda data: data["assets"][0].update(path="/plosone/article .pdf"),
+        ],
+        ids=["entry-path", "asset-path"],
+    )
+    def test_path_breaking_the_link_target_rule_is_refused(self, change):
+        data = plos_spec().to_json_dict()
+        change(data)
+        with pytest.raises(DECODE_ERRORS, match="link-target rule"):
+            FixtureSpec.from_json_dict(data)
+
     def test_round_trip(self):
         spec = degrade(plos_spec(), "no-entry-item-links")
         data = json.loads(json.dumps(spec.to_json_dict()))

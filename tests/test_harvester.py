@@ -39,7 +39,6 @@ from sgp.harvester import (
     ingest_all,
     pack_object_dump,
     plan_from_feed,
-    record_tombstone,
 )
 from sgp.links import LinkSet, parse_link_field
 from sgp.navigator import PolitenessPolicy, SignpostClient
@@ -903,17 +902,12 @@ class TestTombstone:
         store = IngestStore(tmp_path)
         digest = store.store_payload(b"kept payload")
         task = IngestTask(trigger=_event("http://h.example/gone", ChangeKind.DELETED))
-        record = record_tombstone(task, store)
+        (record,) = ingest_all([task], None, store)
         assert record.tombstone
         assert record.completeness.passed
         assert store.load_payload(digest) == b"kept payload"
         assert store.load_record(record.key).tombstone
         assert [e[3] for e in store.journal_entries()] == ["tombstone"]
-
-    def test_non_tombstone_task_is_rejected(self, tmp_path):
-        task = IngestTask(trigger=_event("http://h.example/x"))
-        with pytest.raises(ValueError):
-            record_tombstone(task, IngestStore(tmp_path))
 
 
 class TestSubstance:

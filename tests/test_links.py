@@ -223,6 +223,14 @@ class TestParsing:
         with pytest.raises(MalformedLinkField, match="bad link target"):
             parse_link_field(field, strict=True)
 
+    @pytest.mark.parametrize("bad", ["\ufffe", "\uffff", "\ud800", "\udfff"])
+    def test_target_xml_cannot_carry_is_dropped(self, bad):
+        # no change list could carry the target, so no header may either
+        field = f"<http://a.example/1>; rel=item, <http://a.example/{bad}>; rel=item"
+        assert [l.target for l in parse_link_field(field)] == ["http://a.example/1"]
+        with pytest.raises(MalformedLinkField, match="bad link target"):
+            parse_link_field(field, strict=True)
+
     def test_target_holding_a_left_angle_bracket_is_dropped(self):
         field = "<http://a.example/<b>; rel=item, <http://a.example/1>; rel=item"
         assert [l.target for l in parse_link_field(field)] == ["http://a.example/1"]
@@ -423,9 +431,24 @@ def test_whatever_parses_serialises(text, strict):
     serialize_link_field(links)
 
 
+def _xml_char(c):
+    """XML 1.0's Char production (section 2.2)."""
+    return (
+        c in "\t\n\r"
+        or "\x20" <= c <= "\ud7ff"
+        or "\ue000" <= c <= "\ufffd"
+        or "\U00010000" <= c
+    )
+
+
 def test_the_target_rule_is_whitespace_and_control_characters():
     # the rule spells out what str.isspace accepts; a Unicode version that
-    # changes that set fails here
+    # changes that set fails here. It also holds what XML 1.0 cannot carry.
     chars = "".join(map(chr, range(sys.maxunicode + 1)))
-    ruled = {c for c in chars if c.isspace() or unicodedata.category(c) == "Cc"}
+    ruled = {
+        c
+        for c in chars
+        if c.isspace() or unicodedata.category(c) == "Cc" or not _xml_char(c)
+    }
+    assert {"\ufffe", "\uffff", "\ud800", "\udfff"} <= ruled
     assert set(_BAD_TARGET.findall(chars)) == ruled

@@ -417,6 +417,21 @@ class TestEmit:
         with pytest.raises(FeedViolation, match="href"):
             pack_change_dump([(event, b"x")])
 
+    @pytest.mark.parametrize("bad", ["\ufffe", "\uffff", "\ud800"])
+    def test_emit_refuses_a_target_xml_cannot_carry(self, bad):
+        # written, the feed would fail to parse as "not well-formed"
+        target = f"http://a.example/{bad}"
+        event = ChangeEvent(
+            loc="http://x.example/1",
+            kind=ChangeKind.CREATED,
+            datetime=datetime(2016, 1, 1, tzinfo=UTC),
+            links=LinkSet((TypedLink(target=target, rel=ITEM),)),
+        )
+        with pytest.raises(FeedViolation, match="href"):
+            emit_change_list(ChangeList(events=(event,)))
+        with pytest.raises(FeedViolation, match="loc"):
+            emit_change_list(ChangeList(events=(replace(event, loc=target, links=LinkSet()),)))
+
     @pytest.mark.parametrize(
         "loc", ["http://x.example/a\tb", "http://x.example/a b", " http://x.example/1"]
     )
@@ -634,29 +649,6 @@ class TestChangeDump:
         with pytest.raises(FeedViolation):
             pack_change_dump([(event, b"ghost")])
 
-    def test_explicit_paths(self):
-        t0 = datetime(2016, 1, 1, tzinfo=UTC)
-        entries = [(_created("http://x.example/1", t0), b"alpha")]
-        manifest, payloads = unpack_change_dump(
-            pack_change_dump(entries, paths=["docs/a.pdf"])
-        )
-        assert manifest.entries[0][0] == "docs/a.pdf"
-        assert payloads["docs/a.pdf"] == b"alpha"
-
-    def test_path_collision(self):
-        t0 = datetime(2016, 1, 1, tzinfo=UTC)
-        entries = [
-            (_created("http://x.example/1", t0), b"a"),
-            (_created("http://x.example/2", t0), b"b"),
-        ]
-        with pytest.raises(ManifestPathCollision):
-            pack_change_dump(entries, paths=["same.dat", "same.dat"])
-
-    def test_manifest_name_reserved(self):
-        entries = [(_created("http://x.example/1", datetime(2016, 1, 1, tzinfo=UTC)), b"a")]
-        with pytest.raises(ManifestPathCollision):
-            pack_change_dump(entries, paths=["manifest.xml"])
-
     def test_fixity_added_and_verifies(self):
         entries = [(_created("http://x.example/1", datetime(2016, 1, 1, tzinfo=UTC)), b"alpha")]
         manifest, payloads = unpack_change_dump(pack_change_dump(entries))
@@ -743,13 +735,17 @@ class TestChangeDump:
             assert verify_fixity(payloads[path], event.fixity).ok
 
 
-def _two_entry_dump(**kwargs):
+# the member names pack_change_dump gives _two_entry_dump's payloads
+_A, _B = "resources/0000.dat", "resources/0001.dat"
+
+
+def _two_entry_dump():
     t0 = datetime(2016, 1, 1, tzinfo=UTC)
     entries = [
         (_created("http://x.example/1", t0), b"alpha"),
         (_created("http://x.example/2", t0 + timedelta(hours=1)), b"beta"),
     ]
-    return pack_change_dump(entries, **kwargs)
+    return pack_change_dump(entries)
 
 
 def _rezip(blob, change):
@@ -766,10 +762,10 @@ def _rezip(blob, change):
 
 
 def _colliding_dump():
-    blob = _two_entry_dump(paths=["a.dat", "b.dat"])
+    blob = _two_entry_dump()
     return _rezip(
         blob,
-        lambda name, data: data.replace(b'path="b.dat"', b'path="a.dat"')
+        lambda name, data: data.replace(f'path="{_B}"'.encode(), f'path="{_A}"'.encode())
         if name == "manifest.xml"
         else data,
     )
@@ -778,7 +774,7 @@ def _colliding_dump():
 class TestChangeDumpIndex:
     def test_lookups_without_reading_members(self, tmp_path, monkeypatch):
         path = tmp_path / "dump.zip"
-        path.write_bytes(_two_entry_dump(paths=["a.dat", "b.dat"]))
+        path.write_bytes(_two_entry_dump())
         reads = []
         read = zipfile.ZipFile.read
         monkeypatch.setattr(
@@ -787,12 +783,12 @@ class TestChangeDumpIndex:
         with ChangeDumpIndex(path) as index:
             assert reads == ["manifest.xml"]
             member, event = index.entry("http://x.example/2")
-            assert member == "b.dat"
+            assert member == _B
             assert event.loc == "http://x.example/2"
             assert index.entry("http://x.example/3") is None
             assert reads == ["manifest.xml"]
             assert index.read(member) == b"beta"
-        assert reads == ["manifest.xml", "b.dat"]
+        assert reads == ["manifest.xml", _B]
 
     def test_agrees_with_unpack(self):
         blob = _two_entry_dump()
@@ -839,8 +835,8 @@ class TestChangeDumpIndex:
             ),
             (
                 lambda: _rezip(
-                    _two_entry_dump(paths=["a.dat", "b.dat"]),
-                    lambda name, data: None if name == "b.dat" else data,
+                    _two_entry_dump(),
+                    lambda name, data: None if name == _B else data,
                 ),
                 CorruptArchive,
             ),
@@ -861,20 +857,20 @@ class TestChangeDumpIndex:
 
     def test_damaged_member_is_a_corrupt_archive(self):
         # _rezip stores members uncompressed, so the payload bytes are in plain sight
-        stored = _rezip(_two_entry_dump(paths=["a.dat", "b.dat"]), lambda name, data: data)
+        stored = _rezip(_two_entry_dump(), lambda name, data: data)
         damaged = stored.replace(b"alpha", b"alphA")
         with ChangeDumpIndex(io.BytesIO(damaged)) as index:
-            assert index.read("b.dat") == b"beta"
+            assert index.read(_B) == b"beta"
             with pytest.raises(CorruptArchive):
-                index.read("a.dat")
+                index.read(_A)
 
     def test_closes_what_it_opened(self, tmp_path):
         path = tmp_path / "dump.zip"
-        path.write_bytes(_two_entry_dump(paths=["a.dat", "b.dat"]))
+        path.write_bytes(_two_entry_dump())
         with ChangeDumpIndex(path) as index:
-            assert index.read("a.dat") == b"alpha"
+            assert index.read(_A) == b"alpha"
         with pytest.raises(ValueError, match="closed"):
-            index.read("a.dat")
+            index.read(_A)
         handle = io.BytesIO(path.read_bytes())
         with ChangeDumpIndex(handle) as index:
             pass
@@ -888,7 +884,7 @@ class TestChangeDumpIndex:
         # the traceback still holds the half-built index and its archive
         index = caught.traceback[-1].frame.f_locals["self"]
         with pytest.raises(ValueError, match="closed"):
-            index.read("a.dat")
+            index.read(_A)
 
 
 class TestFixity:
