@@ -145,7 +145,9 @@ class FixtureSpec(Record):
     status_scripts: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
     def __post_init__(self) -> None:
-        _check_path(self.entry_path)
+        # the DOI is served under /doi/ and /works/
+        for path in (self.entry_path, self.doi):
+            _check_path(path)
 
 
 def plos_spec(*, pdf_bytes: int = 2048) -> FixtureSpec:

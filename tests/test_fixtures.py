@@ -480,8 +480,9 @@ class TestSpecSerialization:
         [
             lambda data: data.update(entry_path="/plosone/art\ticle"),
             lambda data: data["assets"][0].update(path="/plosone/article .pdf"),
+            lambda data: data.update(doi="10.1371/a b"),
         ],
-        ids=["entry-path", "asset-path"],
+        ids=["entry-path", "asset-path", "doi"],
     )
     def test_path_breaking_the_link_target_rule_is_refused(self, change):
         data = plos_spec().to_json_dict()

@@ -403,7 +403,16 @@ class TestEmit:
             emit_change_list(ChangeList(events=(event,)))
 
     @pytest.mark.parametrize(
-        "target", ["http://a.example/a b", "http://a.example/\tb", "http://a.example/\u2028", ""]
+        "target",
+        [
+            "http://a.example/a b",
+            "http://a.example/\tb",
+            "http://a.example/\u2028",
+            "",
+            # XML 1.0 excludes these: written, the feed would not parse
+            "http://a.example/\ufffe",
+            "http://a.example/\ud800",
+        ],
     )
     def test_emit_refuses_a_link_target_the_reader_refuses(self, target):
         event = ChangeEvent(
@@ -417,23 +426,14 @@ class TestEmit:
         with pytest.raises(FeedViolation, match="href"):
             pack_change_dump([(event, b"x")])
 
-    @pytest.mark.parametrize("bad", ["\ufffe", "\uffff", "\ud800"])
-    def test_emit_refuses_a_target_xml_cannot_carry(self, bad):
-        # written, the feed would fail to parse as "not well-formed"
-        target = f"http://a.example/{bad}"
-        event = ChangeEvent(
-            loc="http://x.example/1",
-            kind=ChangeKind.CREATED,
-            datetime=datetime(2016, 1, 1, tzinfo=UTC),
-            links=LinkSet((TypedLink(target=target, rel=ITEM),)),
-        )
-        with pytest.raises(FeedViolation, match="href"):
-            emit_change_list(ChangeList(events=(event,)))
-        with pytest.raises(FeedViolation, match="loc"):
-            emit_change_list(ChangeList(events=(replace(event, loc=target, links=LinkSet()),)))
-
     @pytest.mark.parametrize(
-        "loc", ["http://x.example/a\tb", "http://x.example/a b", " http://x.example/1"]
+        "loc",
+        [
+            "http://x.example/a\tb",
+            "http://x.example/a b",
+            " http://x.example/1",
+            "http://x.example/\uffff",
+        ],
     )
     def test_emit_refuses_a_loc_the_reader_refuses(self, loc):
         event = ChangeEvent(
