@@ -102,12 +102,6 @@ _EXTRA_KEYS = frozenset(
 ABLATION_KEYS = frozenset(ABLATION_RECOMMENDATION) | _EXTRA_KEYS
 
 
-def _check_path(path: str) -> None:
-    """A served path is part of a link target, so it obeys the link-target rule."""
-    if _BAD_TARGET.search(path):
-        raise ValueError(f"path breaks the link-target rule: {path!r}")
-
-
 @dataclass(frozen=True)
 class AssetSpec(Record):
     """One publication resource other than the entry page."""
@@ -117,9 +111,6 @@ class AssetSpec(Record):
     sem_type: str
     body_text: str
     pad_to: int | None = field(default=None, metadata=OMIT)
-
-    def __post_init__(self) -> None:
-        _check_path(self.path)
 
     def body(self) -> bytes:
         raw = self.body_text.encode("utf-8")
@@ -145,9 +136,11 @@ class FixtureSpec(Record):
     status_scripts: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
     def __post_init__(self) -> None:
-        # the DOI is served under /doi/ and /works/
-        for path in (self.entry_path, self.doi):
-            _check_path(path)
+        # each is part of a served URI, the DOI under /doi/ and /works/, so
+        # each obeys the rule for what a link target may hold
+        for path in (self.entry_path, self.doi, *(asset.path for asset in self.assets)):
+            if _BAD_TARGET.search(path):
+                raise ValueError(f"path breaks the link-target rule: {path!r}")
 
 
 def plos_spec(*, pdf_bytes: int = 2048) -> FixtureSpec:
