@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import Any, Sequence
-from urllib.parse import quote
+from urllib.parse import quote, unquote
 
 from .links import DESCRIBEDBY, LinkAttributes, TypedLink
 from .rfc3339 import parse_rfc3339
@@ -481,6 +481,21 @@ class CrossRefClient:
         except NavigationError as exc:
             raise ServiceError(str(exc)) from exc
         return result.body or b""
+
+    def doi_at(self, uri: str) -> str | None:
+        """The DOI whose works document at this client's base is exactly
+        ``uri``, or None: ``uri`` names another base, holds no DOI, or
+        holds one that ``metadata_uri_for`` does not write back as
+        ``uri``. A DOI found here can be looked up in a works list, and
+        ``fetch_work`` of it asks for ``uri`` itself."""
+        prefix = f"{self.api_base}/works/"
+        if not uri.startswith(prefix):
+            return None
+        try:
+            doi = normalize_doi(unquote(uri[len(prefix) :]))
+        except InvalidDoi:
+            return None
+        return doi if metadata_uri_for(doi, api_base=self.api_base) == uri else None
 
     def fetch_work(self, doi: str) -> CrossRefWork:
         return parse_work(self._get(metadata_uri_for(normalize_doi(doi), api_base=self.api_base)))

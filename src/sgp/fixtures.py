@@ -14,6 +14,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterable
 from urllib.parse import parse_qs, urlsplit
@@ -354,11 +355,16 @@ class _ObjectView:
             return []
         return [works_api_link(self.works_uri, self.doi_uri)]
 
-    # -- documents
+    # -- documents: the spec and the base never change, so the object and
+    # its two announcements are built once, on first use
 
     def scholarly_object(self) -> ScholarlyObject:
         """The object as the publisher intends it, independent of
         header-level ablations (those degrade serving, not intent)."""
+        return self._intended
+
+    @cached_property
+    def _intended(self) -> ScholarlyObject:
         spec = self.spec
         identifying = None if self._off("no-doi-anywhere") else self.doi_uri
         entry = ResourceDescriptor(
@@ -485,8 +491,16 @@ class _ObjectView:
             event = dataclasses.replace(event, links=LinkSet(kept))
         return event
 
+    @cached_property
+    def _entry_announcement(self) -> ChangeEvent:
+        return self.announcement(_ENTRY_DROPS)
+
+    @cached_property
+    def _feed_announcement(self) -> ChangeEvent:
+        return self.announcement(_FEED_DROPS)
+
     def publisher_event(self) -> ChangeEvent:
-        event = self.announcement(_FEED_DROPS)
+        event = self._feed_announcement
         if self._off("publisher-loc-not-entry"):
             event = dataclasses.replace(event, loc=self.uri(self.spec.assets[0].path))
         return event
@@ -504,7 +518,7 @@ class _ObjectView:
             if self._off("malformed-entry-header"):
                 headers = (("Link", '<http://unterminated ; rel="item'),)
             else:
-                headers = link_header(self.announcement(_ENTRY_DROPS).links)
+                headers = link_header(self._entry_announcement.links)
             body = b"<html><body>fixture entry page</body></html>\n"
             return _Response(200, (("Content-Type", "text/html"),) + headers, body)
         for asset in spec.assets:

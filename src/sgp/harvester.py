@@ -576,14 +576,16 @@ def ingest_all(
     Tasks go in windows of at most ``REGISTRAR_WINDOW``. Each task of a
     window is gathered first: boundary, payloads, publisher metadata.
     Then one works-list request looks up, through ``registrar``, every
-    DOI the window's live tasks still need (see ``_registrar_lookup``),
-    and each record is finished and saved in order. A harvest task reads
-    its bytes over HTTP through ``nav``; a dump task reads them from
-    ``task.dump`` and makes no registrar lookup, so a replay stays
-    offline unless ``verify_live`` asks ``nav`` to check the dump's
-    boundary against the live one. Per-resource trouble is recorded in
-    the returned records, not raised; only store trouble (and misuse,
-    like a dump task without a dump) raises.
+    DOI the window's live tasks need (see ``_registrar_lookup``): that of
+    a describedby link to the registrar's own works document, which is
+    then not fetched (``CrossRefClient.doi_at``), else that of the
+    identifying URI. Each record is finished and saved in order. A
+    harvest task reads its bytes over HTTP through ``nav``; a dump task
+    reads them from ``task.dump`` and makes no registrar lookup, so a
+    replay stays offline unless ``verify_live`` asks ``nav`` to check
+    the dump's boundary against the live one. Per-resource trouble is
+    recorded in the returned records, not raised; only store trouble
+    (and misuse, like a dump task without a dump) raises.
     """
     records: list[IngestRecord] = []
     for start in range(0, len(tasks), REGISTRAR_WINDOW):
@@ -615,9 +617,8 @@ def ingest(
     verify_live: bool = False,
 ) -> IngestRecord:
     """Run one task end to end and persist the outcome: ``ingest_all``
-    with a window of one, so a registrar lookup is one ``fetch_work``."""
-    if task.tombstone:
-        raise ValueError("tombstone tasks are recorded, not ingested")
+    with a window of one, so a registrar lookup is one ``fetch_work``
+    and a Deleted event is recorded as a tombstone."""
     (record,) = ingest_all(
         [task],
         nav,
@@ -785,7 +786,9 @@ def _bibliography_verdict(
 class _Gathered(NamedTuple):
     """One task's outcome short of its works-API lookup of ``doi``. It
     holds verdicts and parsed records, never payload bytes, so a window
-    of them stays small. ``notes`` are the publisher metadata's."""
+    of them stays small. ``notes`` are the publisher metadata's;
+    ``works_target`` is the object's link to the DOI's works document,
+    None when the DOI came from the identifying URI."""
 
     task: IngestTask
     obj: ScholarlyObject
@@ -795,6 +798,7 @@ class _Gathered(NamedTuple):
     publisher_record: BibRecord | None
     notes: list[str]
     doi: str
+    works_target: str | None
 
 
 def _collect(
@@ -873,16 +877,20 @@ def _collect(
     doi: str | None = None
     works_target = _registrar_target(obj)
     if works_target is not None:
-        summary = fetch(works_target, "application/json")
-        if summary.ok:
-            try:
-                registrar_record = parse_crossref_json(
-                    bodies[works_target], source_uri=works_target
-                )
-            except (MalformedJson, MalformedEntry, ValueError) as exc:
-                notes.append(f"registrar metadata unreadable: {exc}")
-        else:
-            notes.append(f"registrar metadata fetch failed: {works_target}")
+        # a link to the registrar's own document for a DOI is looked up
+        # with the window, not fetched: that document is not preserved
+        doi = registrar.doi_at(works_target) if registrar is not None else None
+        if doi is None:
+            summary = fetch(works_target, "application/json")
+            if summary.ok:
+                try:
+                    registrar_record = parse_crossref_json(
+                        bodies[works_target], source_uri=works_target
+                    )
+                except (MalformedJson, MalformedEntry, ValueError) as exc:
+                    notes.append(f"registrar metadata unreadable: {exc}")
+            else:
+                notes.append(f"registrar metadata fetch failed: {works_target}")
     elif registrar is not None and obj.identifying_uri:
         doi = _doi_from_identifying(obj.identifying_uri, resource_policy)
         if doi is None:
@@ -915,7 +923,7 @@ def _collect(
     substance = _substance(tuple(fetches), task.filter_tag, policy)
     if doi is not None:
         return _Gathered(
-            task, obj, fetches, completeness, substance, publisher_record, notes, doi
+            task, obj, fetches, completeness, substance, publisher_record, notes, doi, works_target
         )
     return _base_record(
         task,
@@ -950,7 +958,9 @@ def _finish(gathered: _Gathered, lookup: Callable[[str], CrossRefWork]) -> Inges
     registrar_record: BibRecord | None = None
     notes = gathered.notes
     try:
-        registrar_record = from_crossref(lookup(gathered.doi))
+        registrar_record = from_crossref(
+            lookup(gathered.doi), source_uri=gathered.works_target
+        )
     except (CrossRefError, MalformedEntry, ValueError) as exc:
         # the registrar's note comes before the publisher metadata's
         notes.insert(0, f"registrar lookup failed for {gathered.doi}: {exc}")

@@ -464,3 +464,41 @@ class TestClient:
             client.fetch_work("10.5/x")
         assert err.value.status == statuses[0]
         assert len(session.calls) == calls
+
+
+class TestDoiAt:
+    """``doi_at`` names a DOI only for the client's own works document
+    of it, written exactly as ``metadata_uri_for`` writes it."""
+
+    @pytest.mark.parametrize(
+        "uri, doi",
+        [
+            ("http://api.crossref.org/works/10.5/x", "10.5/x"),
+            ("http://api.crossref.org/works/10.5/a%20b", "10.5/a b"),
+            ("http://api.crossref.org/works/10.5/a,b", "10.5/a,b"),
+        ],
+    )
+    def test_own_document_names_its_doi(self, uri, doi):
+        client = CrossRefClient(None)
+        assert client.doi_at(uri) == doi
+        assert metadata_uri_for(doi, api_base=client.api_base) == uri
+
+    @pytest.mark.parametrize(
+        "uri",
+        [
+            "https://api.crossref.org/works/10.5/x",
+            "http://api.crossref.org/v1/works/10.5/x",
+            "http://api.crossref.org/works/10.5/X",
+            "http://api.crossref.org/works/10.5/x?mailto=a",
+            "http://api.crossref.org/works/10.5/a%2Fb",
+            "http://api.crossref.org/works/doi:10.5/x",
+            "http://api.crossref.org/works/10.5",
+            "http://api.crossref.org/works?filter=doi:10.5/x",
+        ],
+    )
+    def test_anything_else_names_none(self, uri):
+        assert CrossRefClient(None).doi_at(uri) is None
+
+    def test_base_with_trailing_slash(self):
+        client = CrossRefClient(None, api_base="http://127.0.0.1:8080/")
+        assert client.doi_at("http://127.0.0.1:8080/works/10.5/x") == "10.5/x"

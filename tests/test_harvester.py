@@ -18,6 +18,7 @@ from gen import random_ingest_record
 from sgp import harvester
 from sgp.auditor import AuditReport, CheckResult
 from sgp.bibliography import BibRecord, Discrepancy, ReconciliationReport
+from sgp.cli import run
 from sgp.crossref import CrossRefClient
 from sgp.fixity import FixityInfo
 from sgp.fixtures import AssetSpec, FixtureSpec, degrade, landing_spec, plos_spec, serve
@@ -270,10 +271,16 @@ class TestHarvestIngest:
         assert failure in record.completeness.failures
         assert store.versions(record.key) == [1]
 
-    def test_tombstone_task_is_rejected(self, client, tmp_path):
+    def test_tombstone_task_is_recorded(self, client, tmp_path):
         task = IngestTask(trigger=_event("http://h.example/x", ChangeKind.DELETED))
-        with pytest.raises(ValueError):
-            ingest(task, client, IngestStore(tmp_path), POLICY)
+        store = IngestStore(tmp_path)
+        record = ingest(task, client, store, POLICY)
+        assert record.tombstone and record.trigger_kind is ChangeKind.DELETED
+        assert not record.fetches
+        assert store.load_record("http://h.example/x") == record
+        assert [(key, kind) for _, key, _, kind in store.journal_entries()] == [
+            ("http://h.example/x", "tombstone")
+        ]
 
 
 class TestEachMemberDownloadedOnce:
@@ -487,8 +494,10 @@ def _describedby_on(count, *kept):
 
 class TestRegistrarWindow:
     """``ingest_all`` looks up a window's registrar DOIs with one
-    works-list request; its records equal those of one ``ingest`` a
-    task, each with its own ``fetch_work``, clock readings aside."""
+    works-list request: those of the identifying URIs, and those of
+    describedby links to the registrar's own works documents, which are
+    then not fetched. Its records equal those of one ``ingest`` a task,
+    each with its own ``fetch_work``, clock readings aside."""
 
     @staticmethod
     def _both(specs, tmp_path, works_api=None):
@@ -527,15 +536,84 @@ class TestRegistrarWindow:
     def test_one_list_request_for_a_feed(self, tmp_path):
         specs = _describedby_on(6, 1, 4)
         batched, single, works = self._both(specs, tmp_path)
-        (listed,) = [path for path in works if path.startswith("/works?filter=")]
-        looked_up = [specs[i].doi for i in (0, 2, 3, 5)]
-        assert listed == "/works?filter=" + ",".join(f"doi:{d}" for d in looked_up) + "&rows=4"
-        # the describedby objects' own links, and nothing else, by path
-        assert sorted(p for p in works if p != listed) == sorted(
-            f"/works/{specs[i].doi}" for i in (1, 4)
-        )
+        # linked or not, every DOI is named in the list, and nothing else is asked
+        assert works == [
+            "/works?filter=" + ",".join(f"doi:{s.doi}" for s in specs) + "&rows=6"
+        ]
         assert [r.bibliography.record.doi for r in batched] == [s.doi for s in specs]
+        assert not any("/works/" in f.uri for r in batched for f in r.fetches)
         assert [_timeless(r) for r in batched] == [_timeless(r) for r in single]
+
+    def test_a_linked_record_names_its_link_as_source(self, tmp_path):
+        specs = _describedby_on(3, 0, 2)
+        batched, single, works = self._both(specs, tmp_path)
+        assert works[0].startswith("/works?filter=")
+        # the list answers the batched records, one fetch_work each single one
+        links = [batched[i].object.bibliographic_resources[0].uri for i in (0, 2)]
+        assert [link.split("/works/")[1] for link in links] == [specs[0].doi, specs[2].doi]
+        for records in (batched, single):
+            sources = [r.bibliography.record.source_uri for r in records]
+            assert sources == [links[0], None, links[1]]
+
+    def test_a_link_on_another_base_is_fetched_and_stored(self, tmp_path):
+        specs = _describedby_on(3, 1)
+        with serve(*specs) as api:
+            batched, single, works = self._both(specs, tmp_path, works_api=api)
+        # the unlinked DOIs are listed at the registrar's base
+        assert works == [f"/works?filter=doi:{specs[0].doi},doi:{specs[2].doi}&rows=2"]
+        linked = batched[1]
+        target = linked.object.bibliographic_resources[0].uri
+        assert not target.startswith(api.base_uri)
+        (fetch,) = [f for f in linked.fetches if f.uri == target]
+        assert fetch.ok and fetch.media_type == "application/json"
+        store = IngestStore(tmp_path / "batched")
+        assert json.loads(store.load_payload(fetch.sha256))["message"]["DOI"] == specs[1].doi
+        assert linked.bibliography.record.source_uri == target
+        assert [_timeless(r) for r in batched] == [_timeless(r) for r in single]
+
+    def test_a_linked_doi_the_list_omits_is_asked_at_its_link(self, tmp_path, monkeypatch):
+        specs = _describedby_on(3, 0, 1, 2)
+        omitted = specs[1].doi
+        specs[1] = dataclasses.replace(
+            specs[1], status_scripts=((f"/works/{omitted}", (404, 404)),)
+        )
+        listed = CrossRefClient.fetch_works
+
+        def omitting(self, dois):
+            return {doi: work for doi, work in listed(self, dois).items() if doi != omitted}
+
+        monkeypatch.setattr(CrossRefClient, "fetch_works", omitting)
+        batched, single, works = self._both(specs, tmp_path)
+        assert works == [
+            "/works?filter=" + ",".join(f"doi:{s.doi}" for s in specs) + "&rows=3",
+            f"/works/{omitted}",
+        ]
+        target = batched[1].object.bibliographic_resources[0].uri
+        (note,) = [n for n in batched[1].bibliography.notes if n.startswith("registrar")]
+        assert note == f"registrar lookup failed for {omitted}: 404 for {target}"
+        kept = "no registrar baseline; publisher record kept"
+        assert batched[1].bibliography.notes[1:] == (kept,)
+        assert [_timeless(r) for r in batched] == [_timeless(r) for r in single]
+
+    def test_a_harvest_asks_the_works_api_by_list_only(self, tmp_path, capsys):
+        specs = _describedby_on(4, 0, 3)
+        with serve(*specs) as ep:
+            rc = run(
+                [
+                    "harvest",
+                    "--feed",
+                    ep.publisher_feed_uri,
+                    "--store",
+                    str(tmp_path / "store"),
+                    "--api-base",
+                    ep.base_uri,
+                ]
+            )
+            works = [e.path for e in ep.log() if e.path.startswith("/works")]
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert rc == 0
+        assert len(works) == 1 and works[0].startswith("/works?filter=")
+        assert [r["bibliography"]["record"]["doi"] for r in records] == [s.doi for s in specs]
 
     def test_a_list_answering_500_gives_the_per_doi_notes(self, tmp_path):
         specs = _describedby_on(3)
