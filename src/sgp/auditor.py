@@ -415,13 +415,14 @@ class Auditor:
             )
         )
         # the first claim found ends the search, so member HEADs are made
-        # only when neither the entry page nor the feed claims one
+        # only when neither the entry page nor the feed claims one, and
+        # only of the members R8 and R12 sample
         doi_claimed = any(
             links is not None and claims_persistent_id(links)
             for links in chain(
                 (entry_links,),
                 (e.links for e in active),
-                map(surface.links_of, members),
+                map(surface.links_of, members[:_SAMPLE]),
             )
         )
 

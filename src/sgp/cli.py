@@ -48,7 +48,6 @@ from .crossref import (
 )
 from .fixtures import FixtureSpec, serve
 from .harvester import (  # noqa: F401 - perfbench/tracing.py wraps ingest here
-    IngestMode,
     IngestStore,
     StoreFailure,
     SubstancePolicy,
@@ -330,8 +329,7 @@ def _cmd_harvest(args: argparse.Namespace) -> int:
         client = SignpostClient()
         policy = DEFAULT_POLICY.resolving_at(args.feed, *args.persistent_prefix)
         feed = parse_change_list(client.fetch_resource(args.feed).body or b"")
-        mode = IngestMode.DUMP if dump is not None else IngestMode.HARVEST
-        tasks = plan_from_feed(feed, mode=mode, filter_tag=args.filter_tag, dump=dump)
+        tasks = plan_from_feed(feed, filter_tag=args.filter_tag, dump=dump)
         records = ingest_all(
             tasks,
             client,

@@ -231,8 +231,6 @@ class CrossRefWork:
 @dataclass(frozen=True)
 class WorkList:
     items: tuple[CrossRefWork, ...] = ()
-    status: str = "ok"
-    message_type: str = "work-list"
 
 
 def _load_document(doc: str | bytes | dict) -> dict:
@@ -380,7 +378,7 @@ def parse_work_list(doc: str | bytes | dict) -> WorkList:
     if not isinstance(message, Mapping):
         raise NotAWork("work-list envelope without message object")
     items = tuple(_work_from_message(item) for item in _objects(message, "items"))
-    return WorkList(items=items, status=status, message_type=message_type)
+    return WorkList(items=items)
 
 
 class DepositCategory(Enum):

@@ -132,19 +132,15 @@ class IngestTask:
 def plan_from_feed(
     feed: ChangeList,
     *,
-    mode: IngestMode = IngestMode.HARVEST,
     filter_tag: str | None = None,
     dump: ChangeDumpIndex | bytes | None = None,
 ) -> list[IngestTask]:
     """One task per event; Deleted events become tombstone tasks. Order
-    follows the feed."""
+    follows the feed. Given a dump, every task replays from it (dump
+    mode); without one, every task is harvested live."""
+    mode = IngestMode.HARVEST if dump is None else IngestMode.DUMP
     return [
-        IngestTask(
-            trigger=event,
-            mode=mode,
-            filter_tag=filter_tag,
-            dump=dump if mode is IngestMode.DUMP else None,
-        )
+        IngestTask(trigger=event, mode=mode, filter_tag=filter_tag, dump=dump)
         for event in feed.events
     ]
 
@@ -687,7 +683,7 @@ class _LiveSource:
             trigger.loc,
             policy=policy,
             get_items=True,
-            get_start=entry_is_content(trigger.links, policy),
+            get_start=entry_is_content(trigger.links),
         )
 
     def get(self, uri: str) -> _Got:

@@ -55,6 +55,9 @@ __all__ = [
 
 _REDIRECT_STATUSES = frozenset({301, 302, 303, 307, 308})
 
+# requests in flight to one host at once; one when an interval is set
+_IN_FLIGHT_PER_HOST = 2
+
 
 class NavigationError(RuntimeError):
     uri: str | None = None  # where a redirect walk stopped, when one did
@@ -83,7 +86,6 @@ class HttpError(NavigationError):
 @dataclass(frozen=True)
 class PolitenessPolicy:
     min_interval_per_host: float = 0.0
-    max_concurrent_per_host: int = 2
     user_agent: str = "sgp-toolkit/0.1"
     timeout: float = 10.0
     max_redirects: int = 10
@@ -93,8 +95,6 @@ class PolitenessPolicy:
     def __post_init__(self) -> None:
         if self.min_interval_per_host < 0:
             raise ValueError("min_interval_per_host must be >= 0")
-        if self.max_concurrent_per_host < 1:
-            raise ValueError("max_concurrent_per_host must be >= 1")
         if self.max_redirects < 0:
             raise ValueError("max_redirects must be >= 0")
 
@@ -109,8 +109,8 @@ class _HostState:
 
 
 class HostThrottle:
-    """Per-host gate: at most N in flight, and when a minimum interval
-    is set, one at a time with that much quiet between completions.
+    """Per-host gate: at most two requests in flight, and when a minimum
+    interval is set, one at a time with that much quiet between completions.
 
     Spacing is measured from the end of one request to the start of the
     next, so a server that logs arrivals observes gaps of at least the
@@ -128,9 +128,7 @@ class HostThrottle:
             if state is None:
                 # an interval forces serial order; overlap would void it
                 concurrency = (
-                    1
-                    if self._policy.min_interval_per_host > 0
-                    else self._policy.max_concurrent_per_host
+                    1 if self._policy.min_interval_per_host > 0 else _IN_FLIGHT_PER_HOST
                 )
                 state = _HostState(concurrency)
                 self._hosts[host] = state

@@ -56,8 +56,17 @@ SEM_DATASET = "info:eu-repo/semantics/dataset"
 SEM_OBJECT_FILE = "info:eu-repo/semantics/objectFile"
 SEM_START_PAGE = "info:eu-repo/semantics/humanStartPage"
 
-# entry pages with these natures are publication resources themselves
-_SELF_CONTENT = frozenset({SEM_ARTICLE, SEM_DATASET})
+# entry pages with these natures are publication resources themselves,
+# in the info: form and both spellings of the purl.org form
+_SELF_CONTENT = frozenset(
+    spelling
+    for nature in ("article", "dataset")
+    for spelling in (
+        f"info:eu-repo/semantics/{nature}",
+        f"http://purl.org/eu-repo/semantics/{nature}",
+        f"https://purl.org/eu-repo/semantics/{nature}",
+    )
+)
 
 
 class ResourceRole(enum.Enum):
@@ -76,20 +85,9 @@ class PatternId(enum.Enum):
     OTHER = "other"
 
 
-def _default_aliases() -> tuple[tuple[str, str], ...]:
-    names = ("article", "dataset", "objectFile", "descriptiveMetadata", "humanStartPage")
-    pairs = []
-    for name in names:
-        canonical = f"info:eu-repo/semantics/{name}"
-        pairs.append((f"http://purl.org/eu-repo/semantics/{name}", canonical))
-        pairs.append((f"https://purl.org/eu-repo/semantics/{name}", canonical))
-    return tuple(pairs)
-
-
 @dataclass(frozen=True)
 class ResourcePolicy:
-    """Site-independent knobs: which hosts mint shared persistent
-    identifiers, and which semantic-type URIs are spelling variants.
+    """Which hosts and URI prefixes mint shared persistent identifiers.
 
     A domain entry containing ``://`` is a URI prefix match; a bare entry
     matches the hostname exactly.
@@ -103,7 +101,6 @@ class ResourcePolicy:
         "w3id.org",
         "identifiers.org",
     )
-    semantic_aliases: tuple[tuple[str, str], ...] = field(default_factory=_default_aliases)
 
     def identifier_in(self, uri: str) -> str | None:
         """The identifier ``uri`` names under the first entry it matches,
@@ -131,14 +128,6 @@ class ResourcePolicy:
         return replace(
             self, persistent_id_domains=(*self.persistent_id_domains, own, *prefixes)
         )
-
-    def canonical_semantic(self, uri: str | None) -> str | None:
-        if uri is None:
-            return None
-        for variant, canonical in self.semantic_aliases:
-            if uri == variant:
-                return canonical
-        return uri
 
 
 DEFAULT_POLICY = ResourcePolicy()
@@ -286,30 +275,47 @@ def _bib_descriptor(link: TypedLink) -> ResourceDescriptor:
     )
 
 
-def entry_is_content(entry_links: LinkSet, policy: ResourcePolicy) -> bool:
+def entry_is_content(entry_links: LinkSet) -> bool:
     """Whether an entry page's own links type it as content (the PLOS
     shape), so that it is itself a publication resource."""
-    for link in select(entry_links, TYPE):
-        if policy.canonical_semantic(link.target) in _SELF_CONTENT:
-            return True
-    return False
+    return any(link.target in _SELF_CONTENT for link in select(entry_links, TYPE))
 
 
-def _finish_object(
-    entry_desc: ResourceDescriptor,
-    pubs: list[ResourceDescriptor],
+def _closure(
+    entry_uri: str,
     entry_links: LinkSet,
-    failures: list[tuple[str, str]],
+    member_oracle: Callable[[str], LinkSet | None],
+    entry_media_type: str | None,
     policy: ResourcePolicy,
 ) -> ScholarlyObject:
-    bibs = [_bib_descriptor(link) for link in select(entry_links, DESCRIBEDBY)]
+    entry_desc = _entry_descriptor(entry_uri, entry_links, entry_media_type)
+    pubs: list[ResourceDescriptor] = [entry_desc] if entry_is_content(entry_links) else []
+    failures: list[tuple[str, str]] = []
+    visited: set[str] = {entry_uri}
+    queue: list[TypedLink] = list(select(entry_links, ITEM))
+    while queue:
+        link = queue.pop(0)
+        if link.target in visited:
+            continue
+        visited.add(link.target)
+        member_set: LinkSet | None = None
+        try:
+            member_set = member_oracle(link.target)
+        except Exception as exc:  # noqa: BLE001
+            failures.append((link.target, str(exc)))
+        pubs.append(_item_descriptor(link, member_set))
+        if member_set is not None:
+            queue.extend(select(member_set, ITEM))
+
     identifying = pick_identifying_uri(entry_links, policy=policy)
     if identifying is not None:
         pubs = [d for d in pubs if d.uri != identifying]
     obj = ScholarlyObject(
         entry_page=entry_desc,
         publication_resources=tuple(pubs),
-        bibliographic_resources=tuple(bibs),
+        bibliographic_resources=tuple(
+            _bib_descriptor(link) for link in select(entry_links, DESCRIBEDBY)
+        ),
         identifying_uri=identifying,
         failures=tuple(failures),
     )
@@ -324,24 +330,15 @@ def object_from_links(
     policy: ResourcePolicy = DEFAULT_POLICY,
 ) -> ScholarlyObject:
     """Build an object from a single link set (a feed event payload or a
-    one-shot HEAD), without walking the web. Item targets one level deep.
+    one-shot HEAD), without walking the web: the closure that visits no
+    member, so item targets are one level deep and carry no links.
     """
-    entry_desc = _entry_descriptor(entry_uri, entry_links, entry_media_type)
-    pubs: list[ResourceDescriptor] = []
-    seen: set[str] = {entry_uri}
-    if entry_is_content(entry_links, policy):
-        pubs.append(entry_desc)
-    for link in select(entry_links, ITEM):
-        if link.target in seen:
-            continue
-        seen.add(link.target)
-        pubs.append(_item_descriptor(link, None))
-    return _finish_object(entry_desc, pubs, entry_links, [], policy)
+    return _closure(entry_uri, entry_links, lambda uri: None, entry_media_type, policy)
 
 
 def boundary_closure(
     entry: str,
-    link_oracle: Callable[[str], LinkSet],
+    link_oracle: Callable[[str], LinkSet | None],
     *,
     policy: ResourcePolicy = DEFAULT_POLICY,
     entry_media_type: str | None = None,
@@ -349,7 +346,10 @@ def boundary_closure(
     """Compute the object's boundary from its entry page.
 
     Item edges are expanded breadth-first with a visited set, so cycles
-    terminate and each member is fetched once. Failures on non-entry
+    terminate and each member is asked of the oracle once. A member for
+    which the oracle answers None is not visited: it keeps ``links=None``
+    and its items are not followed, so ``boundary_closure(e, {e: L}.get)``
+    builds what ``object_from_links(e, L)`` does. Failures on non-entry
     members are recorded on the object, not raised.
     """
     try:
@@ -357,32 +357,9 @@ def boundary_closure(
     except Exception as exc:  # noqa: BLE001 - oracle errors become FetchFailure
         raise FetchFailure(entry, str(exc)) from exc
 
-    if not select(links, ITEM) and not entry_is_content(links, policy):
+    if not select(links, ITEM) and not entry_is_content(links):
         raise NoEntryPage(entry)
-
-    entry_desc = _entry_descriptor(entry, links, entry_media_type)
-    pubs: list[ResourceDescriptor] = []
-    failures: list[tuple[str, str]] = []
-    visited: set[str] = {entry}
-    if entry_is_content(links, policy):
-        pubs.append(entry_desc)
-
-    queue: list[TypedLink] = list(select(links, ITEM))
-    while queue:
-        link = queue.pop(0)
-        if link.target in visited:
-            continue
-        visited.add(link.target)
-        member_set: LinkSet | None = None
-        try:
-            member_set = link_oracle(link.target)
-        except Exception as exc:  # noqa: BLE001
-            failures.append((link.target, str(exc)))
-        pubs.append(_item_descriptor(link, member_set))
-        if member_set is not None:
-            queue.extend(select(member_set, ITEM))
-
-    return _finish_object(entry_desc, pubs, links, failures, policy)
+    return _closure(entry, links, link_oracle, entry_media_type, policy)
 
 
 def classify_pattern(

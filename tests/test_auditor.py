@@ -380,6 +380,17 @@ class TestSampleCap:
         assert [uri for uri, _ in r8.evidence] == sampled
         assert not {a.path for a in spec.assets[5:]} & paths
 
+    def test_the_claim_search_heads_only_the_sample(self):
+        # no claim anywhere, so the search reads every member it may
+        spec = degrade(self._seven_assets(), "no-doi-anywhere")
+        with serve(spec) as ep:
+            rpt = _audit(ep)
+            heads = {e.path for e in ep.log() if e.method == "HEAD"}
+        assert {a.path for a in spec.assets[:5]} <= heads
+        assert not {a.path for a in spec.assets[5:]} & heads
+        assert rpt.result_for("R10").verdict is Verdict.NOT_APPLICABLE
+        assert rpt.result_for("R12").verdict is Verdict.NOT_APPLICABLE
+
 
 def _spec(pattern, fixture):
     spec = PATTERNS[pattern]()

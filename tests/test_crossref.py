@@ -264,8 +264,6 @@ class TestHostileWork:
 
 class TestParseWorkList:
     def test_envelope(self, listing):
-        assert listing.status == "ok"
-        assert listing.message_type == "work-list"
         assert len(listing.items) == 2
 
     def test_order_preserved(self, listing):

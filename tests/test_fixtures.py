@@ -5,6 +5,7 @@ import http.client
 import json
 import urllib.error
 import urllib.request
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from sgp.fixtures import (
     serve,
 )
 from sgp.links import MalformedLinkField, parse_link_field
+from sgp.navigator import PolitenessPolicy, SignpostClient
 from sgp.resourcesync import parse_change_list
 
 
@@ -293,6 +295,27 @@ class TestLandingPattern:
     def test_policy_recognises_served_doi(self, endpoint):
         assert endpoint.policy().is_persistent_uri(endpoint.doi_uri)
         assert not endpoint.policy().is_persistent_uri(endpoint.entry_uri)
+
+
+class TestEntryNature:
+    @pytest.mark.parametrize(
+        "sem_type, content",
+        [
+            ("http://purl.org/eu-repo/semantics/article", True),
+            ("https://purl.org/eu-repo/semantics/article", True),
+            ("http://purl.org/eu-repo/semantics/dataset", True),
+            ("https://purl.org/eu-repo/semantics/dataset", True),
+            ("http://purl.org/eu-repo/semantics/objectFile", False),
+            ("https://purl.org/eu-repo/semantics/objectFile", False),
+        ],
+    )
+    def test_fixture_and_client_read_one_set(self, sem_type, content):
+        with serve(replace(plos_spec(), entry_sem_type=sem_type)) as ep:
+            intended = ep.scholarly_object()
+            client = SignpostClient(PolitenessPolicy(timeout=5, backoff=0.01))
+            found = client.discover_object(ep.entry_uri)
+        assert (ep.entry_uri in intended.publication_uris) is content
+        assert (ep.entry_uri in found.publication_uris) is content
 
 
 class TestAblations:

@@ -130,10 +130,12 @@ class TestPlanning:
         )
         assert tasks[0].filter_tag == "journals"
 
-    def test_dump_bytes_attach_only_in_dump_mode(self):
-        feed = ChangeList(events=(_event("http://h.example/a"),))
-        assert plan_from_feed(feed, mode=IngestMode.DUMP, dump=b"zip")[0].dump == b"zip"
-        assert plan_from_feed(feed, dump=b"zip")[0].dump is None
+    def test_a_dump_makes_dump_tasks_carrying_it(self):
+        feed = ChangeList(events=(_event("http://h.example/a"), _event("http://h.example/b")))
+        dumped = plan_from_feed(feed, dump=b"zip")
+        assert [(t.mode, t.dump) for t in dumped] == [(IngestMode.DUMP, b"zip")] * 2
+        harvested = plan_from_feed(feed)
+        assert [(t.mode, t.dump) for t in harvested] == [(IngestMode.HARVEST, None)] * 2
 
 
 class TestHarvestIngest:
@@ -794,9 +796,7 @@ class TestDumpIngest:
             POLICY,
         )
         with ChangeDumpIndex(io.BytesIO(dump)) as index:
-            tasks = plan_from_feed(
-                ChangeList(events=(trigger, trigger)), mode=IngestMode.DUMP, dump=index
-            )
+            tasks = plan_from_feed(ChangeList(events=(trigger, trigger)), dump=index)
             from_index = [
                 ingest(t, None, IngestStore(tmp_path / "index"), POLICY) for t in tasks
             ]

@@ -44,16 +44,11 @@ class TestPolicy:
     def test_defaults_are_sane(self):
         policy = PolitenessPolicy()
         assert policy.min_interval_per_host == 0.0
-        assert policy.max_concurrent_per_host >= 1
         assert policy.max_redirects == 10
 
     def test_negative_interval_rejected(self):
         with pytest.raises(ValueError):
             PolitenessPolicy(min_interval_per_host=-1)
-
-    def test_zero_concurrency_rejected(self):
-        with pytest.raises(ValueError):
-            PolitenessPolicy(max_concurrent_per_host=0)
 
 
 class TestFetchResultInvariants:

@@ -2,7 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gen import random_link_set, random_uri
 from sgp.harvester import _doi_from_identifying
 from sgp.links import (
     ITEM,
@@ -26,6 +29,7 @@ from sgp.resources import (
     ViolationKind,
     boundary_closure,
     classify_pattern,
+    entry_is_content,
     object_from_links,
     pick_identifying_uri,
     validate_object,
@@ -160,6 +164,40 @@ class TestBoundaryClosure:
         table = {"http://p.example/e": links, DOI_URI: LinkSet()}
         obj = boundary_closure("http://p.example/e", lambda u: table[u])
         assert DOI_URI not in obj.publication_uris
+
+
+class TestOneBuilder:
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_links_alone_build_the_closure_that_visits_no_member(self, rng, typed):
+        entry = random_uri(rng)
+        links = random_link_set(rng)
+        if typed:
+            links = LinkSet((L(SEM_ARTICLE, "type"), *links))
+        try:
+            walked = boundary_closure(entry, {entry: links}.get)
+        except NoEntryPage:
+            return
+        assert object_from_links(entry, links) == walked
+
+
+PURL = "purl.org/eu-repo/semantics"
+
+
+class TestSelfContent:
+    @pytest.mark.parametrize("scheme", ["http", "https"])
+    @pytest.mark.parametrize("nature", ["article", "dataset"])
+    def test_purl_spellings_are_content(self, scheme, nature):
+        links = LinkSet((L(f"{scheme}://{PURL}/{nature}", "type"),))
+        assert entry_is_content(links)
+        assert object_from_links(ENTRY, links).publication_uris == (ENTRY,)
+        assert boundary_closure(ENTRY, lambda u: links).publication_uris == (ENTRY,)
+
+    @pytest.mark.parametrize("scheme", ["http", "https"])
+    def test_a_purl_object_file_is_not(self, scheme):
+        links = LinkSet((L(f"{scheme}://{PURL}/objectFile", "type"), L(PDF, "item")))
+        assert not entry_is_content(links)
+        assert object_from_links(ENTRY, links).publication_uris == (PDF,)
 
 
 def bfs_item_reachability(table, start):
@@ -356,7 +394,6 @@ class TestPersistentIdentifiers:
             "https://h.example:8/doi/",
             "urn:x:",
         )
-        assert policy.semantic_aliases == DEFAULT_POLICY.semantic_aliases
 
 
 class TestJson:
