@@ -73,7 +73,14 @@ def _authors_to_json(authors: tuple[tuple[str, str | None], ...]) -> list[dict]:
 
 
 def _authors_from_json(data: list[dict]) -> tuple[tuple[str, str | None], ...]:
-    return tuple((a["family"], a.get("given")) for a in data)
+    authors = tuple((a["family"], a.get("given")) for a in data)
+    for family, given in authors:
+        if type(family) is not str or (given is not None and type(given) is not str):
+            raise TypeError(
+                f"BibRecord.authors wants str names, not {type(family).__name__}"
+                f" and {type(given).__name__}"
+            )
+    return authors
 
 
 @dataclass(frozen=True)

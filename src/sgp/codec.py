@@ -12,9 +12,15 @@ replaces the rule for its value.
 
 On read a missing key takes the field's default and unknown keys are
 ignored; a field with no plain default, a ``default_factory`` included,
-is required, and a record's JSON must be an object. The values go in
+is required, and a record's JSON must be an object. A str, int, bool
+or dict field, and each such element of a tuple or frozenset, must hold
+exactly that JSON type (a bool is no int), and a tuple or frozenset must
+come as a list; anything else raises TypeError. The values go in
 field order to the class, or to the callable it names as
-``json_constructor``. Each class's plan is built once, on first use.
+``json_constructor``. The types are checked before the values go to the
+class, and after they go to a ``json_constructor``: that is a cache
+keyed by the values, so a value it cannot hash fails there first. Each
+class's plan is built once, on first use.
 """
 
 from __future__ import annotations
@@ -73,28 +79,35 @@ def _plan(cls: type) -> tuple[_Convert, _Convert]:
 
         def decode(data):
             if type(data) is not dict: raise TypeError(not_an_object)
-            return cls(
-                data['uri'],
-                ...
-                dec5(data['fetched_at']) if 'fetched_at' in data else default5,
-            )
+            v0 = data['uri']
+            ...
+            v5 = dec5(data['fetched_at']) if 'fetched_at' in data else default5
+            check0(v0)
+            ...
+            return cls(v0, ..., v5)
     """
     hints = typing.get_type_hints(cls)
+    constructor = getattr(cls, "json_constructor", None)
     env: dict = {
-        "cls": getattr(cls, "json_constructor", cls),
+        "cls": constructor or cls,
         "not_an_object": f"{cls.__name__} wants a JSON object",
     }
-    writes, reads = [], []
-    for i, f in enumerate(dataclasses.fields(cls)):
+    writes, reads, checks = [], [], []
+    fields = dataclasses.fields(cls)
+    for i, f in enumerate(fields):
         meta = f.metadata
         if "encode" in meta:
             enc, dec = meta["encode"], meta["decode"]
         else:
             enc, dec = _converters(hints[f.name])
+            check = _checker(hints[f.name], f"{cls.__name__}.{f.name}")
+            if check is not None:
+                env[f"check{i}"] = check
+                checks.append(f"    check{i}(v{i})")
         env[f"enc{i}"], env[f"dec{i}"], env[f"default{i}"] = enc, dec, f.default
         if meta.get("inline"):
             writes.append(f"    out.update(enc{i}(obj.{f.name}))")
-            reads.append(f"        dec{i}(data),")
+            reads.append(f"    v{i} = dec{i}(data)")
             continue
         key = meta.get("key", f.name)
         parent, key = key if isinstance(key, tuple) else (None, key)
@@ -110,15 +123,65 @@ def _plan(cls: type) -> tuple[_Convert, _Convert]:
         # a field without a plain default is required: a missing key raises
         if f.default is not dataclasses.MISSING:
             read += f" if {key!r} in {source} else default{i}"
-        reads.append(f"        {read},")
+        reads.append(f"    v{i} = {read}")
+    build = "cls(" + ", ".join(f"v{i}" for i in range(len(fields))) + ")"
+    if constructor is None:
+        finish = [*checks, f"    return {build}"]
+    else:
+        finish = [f"    obj = {build}", *checks, "    return obj"]
     # the check comes first, since `in` would also answer for a list or a string
     code = "\n".join(
         ["def encode(obj):", "    out = {}", *writes, "    return out"]
         + ["def decode(data):", "    if type(data) is not dict: raise TypeError(not_an_object)"]
-        + ["    return cls(", *reads, "    )"]
+        + [*reads, *finish]
     )
     exec(compile(code, f"<codec {cls.__qualname__}>", "exec"), env)
     return env["encode"], env["decode"]
+
+
+_PRIMITIVES = (str, int, bool, dict)
+
+
+def _checker(tp: Any, label: str) -> Callable[[Any], bool] | None:
+    """A check that a decoded value of type ``tp`` holds the JSON types
+    ``tp`` names: it returns True or raises TypeError. None where the
+    converter checks all there is (a record, an enum, a datetime)."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        [inner] = [arg for arg in args if arg is not type(None)]
+        check = _checker(inner, label)
+        return None if check is None else (lambda value: value is None or check(value))
+    if tp in _PRIMITIVES:
+        return _type_check(tp, label)
+    if origin is frozenset or (origin is tuple and args[-1] is Ellipsis):
+        check = _checker(args[0], label)
+        return None if check is None else (lambda values: all(map(check, values)))
+    if origin is tuple:
+        checks = [_checker(arg, label) for arg in args]
+        if not any(checks):
+            return None
+        return lambda value: all(check(item) for check, item in zip(checks, value) if check)
+    return None
+
+
+def _type_check(tp: type, label: str) -> Callable[[Any], bool]:
+    """The check for a value of exactly type ``tp``: JSON gives no
+    subclass, and a bool is no int."""
+    wants = f"{label} wants {tp.__name__}, not "
+
+    def check(value: Any) -> bool:
+        if type(value) is tp:
+            return True
+        raise TypeError(wants + type(value).__name__)
+
+    return check
+
+
+def _listed(value: Any) -> list:
+    """``value``, which must be a JSON array."""
+    if type(value) is not list:
+        raise TypeError(f"wants a list, not {type(value).__name__}")
+    return value
 
 
 def _converters(tp: Any) -> tuple[_Convert | None, _Convert | None]:
@@ -132,25 +195,30 @@ def _converters(tp: Any) -> tuple[_Convert | None, _Convert | None]:
     if origin is tuple and args[-1] is Ellipsis:
         enc, dec = _converters(args[0])
         if enc is None and dec is None:
-            return list, tuple
-        return (lambda value: list(map(enc, value))), (lambda value: tuple(map(dec, value)))
+            return list, lambda value: tuple(_listed(value))
+        return (
+            lambda value: list(map(enc, value)),
+            lambda value: tuple(map(dec, _listed(value))),
+        )
     if origin is tuple:
         items = list(map(_converters, args))
         encs = [enc or _same for enc, _ in items]
         decs = [dec or _same for _, dec in items]
         return (
             lambda value: [enc(item) for enc, item in zip(encs, value)],
-            lambda value: tuple(dec(item) for dec, item in zip(decs, value, strict=True)),
+            lambda value: tuple(
+                dec(item) for dec, item in zip(decs, _listed(value), strict=True)
+            ),
         )
     if origin is frozenset and _converters(args[0]) == (None, None):
-        return sorted, frozenset
+        return sorted, lambda value: frozenset(_listed(value))
     if dataclasses.is_dataclass(tp):
         return _plan(tp)
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
         return attrgetter("value"), tp
     if tp is datetime:
         return format_rfc3339, parse_rfc3339
-    if tp in (str, int, bool, dict):
+    if tp in _PRIMITIVES:
         return None, None
     raise TypeError(f"no JSON form for {tp!r}")
 

@@ -3,6 +3,12 @@
 Sitemap-dialect XML with the rs extension namespace. Lenient parsing
 warns about sloppy-but-usable feeds (unsorted events, odd capability);
 strict mode turns those warnings into errors.
+
+Change lists and dump manifests are read as a stream: each ``<url>``
+becomes its event when the element ends and is dropped then, so a parse
+holds the events it returns and one chunk's elements, not the whole
+tree. The text itself is held whole: the feed body, the manifest's bytes
+and, in a ``ChangeDumpIndex``, each member as it is read.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ import zipfile
 import zlib
 from dataclasses import dataclass, field, replace
 from datetime import datetime
+from functools import lru_cache
 from operator import attrgetter
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 from xml.etree import ElementTree as ET
 
 from .codec import OMIT, Record
@@ -165,6 +172,8 @@ class ChangeDumpManifest:
     entries: tuple[tuple[str | None, ChangeEvent], ...] = ()
 
 
+# bounded: a hostile document may name any number of distinct tags
+@lru_cache(maxsize=64)
 def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
@@ -269,8 +278,6 @@ def _event_from_url(
     event = ChangeEvent(
         loc=loc, kind=kind, datetime=when, links=LinkSet(tuple(links)), fixity=fixity
     )
-    if kind == ChangeKind.DELETED and event.links.select(ITEM):
-        _complain(f"{loc}: deleted event carries item links", strict)
     return event, path
 
 
@@ -280,39 +287,99 @@ def _complain(message: str, strict: bool) -> None:
     warnings.warn(message, FeedWarning, stacklevel=3)
 
 
+# text fed to the parser at a time: the elements a chunk completes are
+# read and dropped before the next chunk goes in
+_CHUNK = 1 << 16
+
+
+def _root_children(xml_text: str | bytes) -> Iterator[ET.Element]:
+    """The root element, then each child of the root as it ends,
+    detached from the root, so the tree holds no more than one chunk's
+    elements and the child still open. A ``str`` is fed as ``str``, so
+    the parser reads it as UTF-8 whatever encoding it declares, as
+    ``ET.fromstring`` does. A document that is not well-formed raises
+    ``MalformedXml`` when the parse reaches the fault."""
+    parser = ET.XMLPullParser(("start", "end"))
+    root = None
+    depth = 0
+    try:
+        # the last start lies at or past the end: there the parse closes
+        for start in range(0, len(xml_text) + _CHUNK, _CHUNK):
+            if start < len(xml_text):
+                parser.feed(xml_text[start : start + _CHUNK])
+            else:
+                parser.close()
+            # the chunk's tree is built before its events are read, so a
+            # child of the root that ends is the first one still attached
+            for event, elem in parser.read_events():
+                if event == "start":
+                    depth += 1
+                    if root is None:
+                        root = elem
+                        yield root
+                else:
+                    depth -= 1
+                    if depth == 1:
+                        del root[0]
+                        yield elem
+    except ET.ParseError as exc:
+        raise MalformedXml(str(exc)) from exc
+    except UnicodeEncodeError as exc:
+        # text holding a lone surrogate has no UTF-8 form to parse
+        raise MalformedXml(f"not encodable as UTF-8: {exc.reason}") from exc
+
+
 def _parse_urlset(
     xml_text: str | bytes,
     expected_capability: str,
     strict: bool,
     vocabulary: Vocabulary,
 ) -> tuple[list[tuple[ChangeEvent, str | None]], datetime | None, datetime | None, str]:
-    try:
-        root = ET.fromstring(xml_text)
-    except ET.ParseError as exc:
-        raise MalformedXml(str(exc)) from exc
-    except UnicodeEncodeError as exc:
-        # text holding a lone surrogate has no UTF-8 form to parse
-        raise MalformedXml(f"not encodable as UTF-8: {exc.reason}") from exc
-    if _local(root.tag) != "urlset":
+    """Read a urlset as a stream: each root-level ``<url>`` becomes its
+    entry when it ends, and its elements are dropped then. What the
+    document's faults raise or warn comes in the order a reader of the
+    whole tree gives: not well-formed, wrong root, the root ``rs:md``,
+    then the entries in document order up to the first that fails, then
+    the ordering of the datetimes."""
+    children = _root_children(xml_text)
+    root = next(children)
+    is_urlset = _local(root.tag) == "urlset"
+    md = None
+    entries: list[tuple[ChangeEvent, str | None]] = []
+    complaints: list[str] = []
+    # what building an entry raises (a ChangeListError is a ValueError)
+    # waits for the end of the parse, which may yet find the document
+    # malformed
+    failure: ValueError | None = None
+    unordered = False
+    for child in children:
+        name = _local(child.tag) if is_urlset else None
+        if name == "md":
+            if md is None:
+                md = child
+        elif name == "url" and failure is None:
+            try:
+                event, path = _event_from_url(child, strict, vocabulary)
+            except ValueError as exc:
+                failure = exc
+                continue
+            if event.kind is ChangeKind.DELETED and event.links.select(ITEM):
+                complaints.append(f"{event.loc}: deleted event carries item links")
+            if entries and entries[-1][0].datetime > event.datetime:
+                unordered = True
+            entries.append((event, path))
+    if not is_urlset:
         raise MalformedXml(f"expected urlset, got {_local(root.tag)}")
 
     capability = expected_capability
     from_time = until_time = None
-    md = None
-    urls: list[ET.Element] = []
-    for child in root:
-        name = _local(child.tag)
-        if name == "url":
-            urls.append(child)
-        elif name == "md" and md is None:
-            md = child
     if md is not None:
         capability = md.get("capability") or expected_capability
         if capability != expected_capability:
             _complain(
                 f"capability {capability!r}, expected {expected_capability!r}", strict
             )
-        for attr, setter in (("from", "from"), ("until", "until")):
+        for attr in ("from", "until"):
             raw = md.get(attr)
             if raw:
                 try:
@@ -326,9 +393,11 @@ def _parse_urlset(
     if from_time and until_time and from_time > until_time:
         _complain("from is later than until", strict)
 
-    entries = [_event_from_url(url, strict, vocabulary) for url in urls]
-    times = [event.datetime for event, _ in entries]
-    if any(a > b for a, b in zip(times, times[1:])):
+    for message in complaints:
+        _complain(message, strict)
+    if failure is not None:
+        raise failure
+    if unordered:
         _complain("events are not ordered by datetime", strict)
     return entries, from_time, until_time, capability
 
@@ -599,6 +668,8 @@ def pack_change_dump(
 class ChangeDumpIndex:
     """A change dump opened once: the manifest is parsed and validated
     up front, members are read from the archive only when asked for.
+    The manifest's bytes are read whole and parsed as a stream, so its
+    XML tree is never held; each member is read whole when asked for.
 
     ``source`` is a path or a seekable binary file object; the archive is
     not read into memory. A path is opened here and closed by ``close``

@@ -1276,6 +1276,31 @@ class TestStore:
         assert len(problems) == 1
         assert "k/0001.json" in problems[0]
 
+    def test_fsck_flags_a_value_of_another_json_type(self, tmp_path):
+        # a string "no" is no false: read as it was, it made a tombstone
+        store = IngestStore(tmp_path)
+        faults = {
+            "a": lambda data: data.update(tombstone="no"),
+            "b": lambda data: data["completeness"].update(passed="yes"),
+            "c": lambda data: data.update(fetches=[{"uri": 5, "status": "200"}]),
+            "d": lambda data: data.update(fetches=[{"uri": "u", "status": True}]),
+        }
+        for key, fault in faults.items():
+            store.save_record(_synthetic_record(key=key))
+            path = store._key_dir(key) / "0001.json"
+            data = json.loads(path.read_text(encoding="utf-8"))
+            fault(data)
+            path.write_text(json.dumps(data), encoding="utf-8")
+        assert store.fsck() == [
+            "record a/0001.json: IngestRecord.tombstone wants bool, not str",
+            "record b/0001.json: CompletenessReport.passed wants bool, not str",
+            "record c/0001.json: FetchSummary.uri wants str, not int",
+            "record d/0001.json: FetchSummary.status wants int, not bool",
+        ]
+        for key in faults:
+            with pytest.raises(TypeError):
+                store.load_record(key)
+
     def test_fsck_flags_records_missing_a_required_field(self, tmp_path):
         # created_at has a default factory: a record without one is a
         # problem, not a record stamped with the time fsck read it

@@ -4,6 +4,8 @@ import io
 import random
 import re
 import string
+import tracemalloc
+import warnings
 import zipfile
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -35,6 +37,7 @@ from sgp.links import (
     relation_type,
 )
 from sgp.resources import object_from_links
+from sgp.rfc3339 import format_rfc3339
 from sgp.resourcesync import (
     ChangeDumpIndex,
     ChangeDumpManifest,
@@ -343,6 +346,103 @@ class TestParseEdgeCases:
             parse_change_list(doc)
         with pytest.raises(FeedViolation):
             parse_change_list(doc, strict=True)
+
+
+class TestParseAsAStream:
+    """What a reader of the whole tree gave, pinned for a reader that
+    builds each entry as its ``<url>`` ends."""
+
+    def test_a_fault_after_a_bad_url_is_still_malformed_xml(self):
+        doc = urlset(
+            "<url><loc>http://x.example/1</loc></url>",
+            url("http://x.example/2", 'change="created" datetime="2016-01-01T00:00:00Z"'),
+        )
+        truncated = doc[: -len("</urlset>")]
+        with pytest.raises(MissingChangeAttribute):
+            parse_change_list(doc)
+        for text in (truncated, truncated.encode("utf-8")):
+            with pytest.raises(MalformedXml):
+                parse_change_list(text)
+
+    def test_a_str_is_read_as_utf8_whatever_it_declares(self):
+        doc = urlset(
+            url("http://a.example/\u00e9", 'change="created" datetime="2016-01-01T00:00:00Z"')
+        ).replace('encoding="UTF-8"', 'encoding="ISO-8859-1"')
+        assert parse_change_list(doc).events[0].loc == "http://a.example/\u00e9"
+        # bytes are decoded as declared
+        latin = parse_change_list(doc.encode("iso-8859-1"))
+        assert latin.events[0].loc == "http://a.example/\u00e9"
+
+    def test_a_url_inside_a_url_is_ignored(self):
+        md = 'change="created" datetime="2016-01-01T00:00:00Z"'
+        inner = url("http://x.example/inner", md)
+        doc = urlset(
+            f"<url><loc>http://x.example/outer</loc><rs:md {md}/>{inner}</url>",
+            f"<other>{inner}</other>",
+        )
+        assert [event.loc for event in parse_change_list(doc).events] == [
+            "http://x.example/outer"
+        ]
+
+    def test_a_root_md_after_the_urls_still_counts(self):
+        doc = urlset(
+            url("http://x.example/1", 'change="created" datetime="2016-01-02T00:00:00Z"'),
+            '<rs:md capability="changelist" from="2016-01-01T00:00:00Z"/>',
+            '<rs:md capability="resourcelist" from="2015-01-01T00:00:00Z"/>',
+            md="",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            feed = parse_change_list(doc, strict=True)
+        assert feed.capability == "changelist"
+        assert feed.from_time == datetime(2016, 1, 1, tzinfo=UTC)
+        assert [event.loc for event in feed.events] == ["http://x.example/1"]
+
+    def test_complaints_and_the_first_bad_url_come_in_tree_order(self):
+        # the root md's complaint first, though it follows the urls; then
+        # each url's in order up to the first that fails; later urls unread
+        doc = urlset(
+            url(
+                "http://x.example/2",
+                'change="deleted" datetime="2016-02-01T00:00:00Z"',
+                '<rs:ln rel="item" href="http://x.example/a"/>',
+            ),
+            url("http://x.example/1", 'change="created" datetime="2016-01-01T00:00:00Z"'),
+            "<url><loc>http://x.example/3</loc></url>",
+            url("http://x.example/4", 'change="destroyed" datetime="2016-01-01T00:00:00Z"'),
+            '<rs:md capability="resourcelist"/>',
+            md="",
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(MissingChangeAttribute, match="x.example/3"):
+                parse_change_list(doc)
+        assert [str(w.message) for w in caught] == [
+            "capability 'resourcelist', expected 'changelist'",
+            "http://x.example/2: deleted event carries item links",
+        ]
+        with pytest.raises(FeedViolation, match="capability"):
+            parse_change_list(doc, strict=True)
+        ordered = doc.replace('<rs:md capability="resourcelist"/>', "")
+        with pytest.raises(FeedViolation, match="deleted event"):
+            parse_change_list(ordered, strict=True)
+
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_a_feed_longer_than_a_chunk_reads_whole(self, as_bytes):
+        # non-ASCII locs of varying length put multi-byte characters
+        # across the boundaries at which the text is fed
+        WIDE = "\u4e2d"
+        t0 = datetime(2016, 1, 1, tzinfo=UTC)
+        locs = [f"http://x.example/\u00e9{WIDE * (i % 7)}/{i}" for i in range(3000)]
+        doc = urlset(
+            *(
+                url(loc, f'change="updated" datetime="{format_rfc3339(t0 + timedelta(seconds=i))}"')
+                for i, loc in enumerate(locs)
+            )
+        )
+        assert len(doc.encode("utf-8")) > 4 * 65536
+        feed = parse_change_list(doc.encode("utf-8") if as_bytes else doc)
+        assert [event.loc for event in feed.events] == locs
 
 
 class TestEmit:
@@ -1137,3 +1237,54 @@ class TestHostileFeedBounds:
             info = cache.cache_info()
             assert info.maxsize is not None and info.maxsize < count
             assert info.currsize <= info.maxsize
+
+    def test_a_long_change_list_is_read_without_its_tree(self):
+        # beyond the events it returns, the parse holds one chunk's
+        # elements at a time; a whole tree costs over a KiB an entry
+        t0 = datetime(2016, 1, 1, tzinfo=UTC)
+        count = 20000
+        doc = urlset(
+            *(
+                url(
+                    f"http://x.example/{i}",
+                    f'change="created" datetime="{format_rfc3339(t0 + timedelta(seconds=i))}"',
+                    f'<rs:ln rel="item" href="http://x.example/{i}.pdf" type="application/pdf"/>',
+                )
+                for i in range(count)
+            )
+        )
+        tracemalloc.start()
+        try:
+            feed = parse_change_list(doc)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(feed.events) == count
+        assert peak - retained < 4 * 2**20
+
+    def test_a_dump_index_opens_within_its_manifest_and_a_bound(self):
+        t0 = datetime(2016, 1, 1, tzinfo=UTC)
+        count = 20000
+        manifest = urlset(
+            *(
+                url(
+                    f"http://x.example/{i}",
+                    f'change="deleted" datetime="{format_rfc3339(t0 + timedelta(seconds=i))}"',
+                )
+                for i in range(count)
+            ),
+            md='<rs:md capability="changedump-manifest"/>',
+        ).encode("utf-8")
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive:
+            archive.writestr("manifest.xml", manifest)
+        tracemalloc.start()
+        try:
+            index = ChangeDumpIndex(io.BytesIO(buffer.getvalue()))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        with index:
+            assert len(index.manifest.entries) == count
+        # the manifest's bytes are read whole; its tree never is
+        assert peak - retained < len(manifest) + 4 * 2**20
