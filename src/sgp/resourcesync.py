@@ -19,6 +19,7 @@ import os
 import warnings
 import zipfile
 import zlib
+from collections import deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from functools import lru_cache
@@ -293,35 +294,37 @@ _CHUNK = 1 << 16
 
 
 def _root_children(xml_text: str | bytes) -> Iterator[ET.Element]:
-    """The root element, then each child of the root as it ends,
+    """The root element, then each child of the root once it has ended,
     detached from the root, so the tree holds no more than one chunk's
     elements and the child still open. A ``str`` is fed as ``str``, so
     the parser reads it as UTF-8 whatever encoding it declares, as
     ``ET.fromstring`` does. A document that is not well-formed raises
     ``MalformedXml`` when the parse reaches the fault."""
-    parser = ET.XMLPullParser(("start", "end"))
+    parser = ET.XMLPullParser(("start",))
     root = None
-    depth = 0
     try:
         # the last start lies at or past the end: there the parse closes
         for start in range(0, len(xml_text) + _CHUNK, _CHUNK):
-            if start < len(xml_text):
-                parser.feed(xml_text[start : start + _CHUNK])
-            else:
+            closed = start >= len(xml_text)
+            if closed:
                 parser.close()
-            # the chunk's tree is built before its events are read, so a
-            # child of the root that ends is the first one still attached
-            for event, elem in parser.read_events():
-                if event == "start":
-                    depth += 1
-                    if root is None:
-                        root = elem
-                        yield root
-                else:
-                    depth -= 1
-                    if depth == 1:
-                        del root[0]
-                        yield elem
+            else:
+                parser.feed(xml_text[start : start + _CHUNK])
+            events = parser.read_events()
+            if root is None:
+                for _, root in events:
+                    yield root
+                    break
+            # only the root's start is wanted: the rest are drained, which
+            # raises the parse error the chunk met, if any
+            deque(events, maxlen=0)
+            if root is not None:
+                # a child followed by a sibling has ended; once the parse
+                # has closed, the last child has too
+                for _ in range(len(root) if closed else len(root) - 1):
+                    child = root[0]
+                    del root[0]
+                    yield child
     except ET.ParseError as exc:
         raise MalformedXml(str(exc)) from exc
     except UnicodeEncodeError as exc:

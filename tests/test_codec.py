@@ -27,7 +27,8 @@ import pytest
 import gen
 from sgp.auditor import AuditReport, CheckResult
 from sgp.bibliography import BibRecord, Discrepancy, ReconciliationReport
-from sgp.codec import SCHEMA_VERSION, Record
+from sgp.codec import SCHEMA_VERSION, Record, _plan
+from sgp.fixity import FixityInfo, compute_fixity
 from sgp.fixtures import AssetSpec, FixtureSpec
 from sgp.harvester import (
     BibliographyReport,
@@ -83,8 +84,10 @@ def test_every_golden_file_is_read():
     )
 
 
-# one value of each codec class; SubstancePolicy is absent, since its
-# only fields are a record and a map that its own decoder reads
+# one value of each codec class, FixityInfo included: no Record, it is
+# read by the codec as the fixity of a descriptor or a fetch.
+# SubstancePolicy is absent, since its only fields are a record and a map
+# that its own decoder reads
 SAMPLES = {
     AssetSpec: lambda rng: rng.choice(gen.random_fixture_spec(rng).assets),
     AuditReport: gen.random_audit_report,
@@ -96,6 +99,7 @@ SAMPLES = {
     CompletenessReport: gen.random_completeness_report,
     Discrepancy: gen.random_discrepancy,
     FetchSummary: gen.random_fetch_summary,
+    FixityInfo: lambda rng: compute_fixity(rng.randbytes(8)),
     FixtureSpec: gen.random_fixture_spec,
     IngestRecord: gen.random_ingest_record,
     LinkAttributes: lambda rng: gen.random_link(rng).attrs,
@@ -171,12 +175,14 @@ def _codec_classes(cls=Record):
 
 
 def test_every_codec_class_has_a_sample():
-    assert set(_codec_classes()) == set(SAMPLES) | {SubstancePolicy}
+    assert set(_codec_classes()) | {FixityInfo} == set(SAMPLES) | {SubstancePolicy}
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=[cls.__name__ for cls in SAMPLES])
 def test_a_primitive_of_another_json_type_raises_type_error(cls):
-    document = SAMPLES[cls](random.Random(20261022)).to_json_dict()
+    # through the codec's plan, which FixityInfo has without being a Record
+    encode, decode = _plan(cls)
+    document = encode(SAMPLES[cls](random.Random(20261022)))
     cases = 0
     for path, tp in _slots(cls):
         for value in _wrong(tp):
@@ -186,7 +192,7 @@ def test_a_primitive_of_another_json_type_raises_type_error(cls):
                 target = target[key]
             target[path[-1]] = value
             with pytest.raises(TypeError):
-                cls.from_json_dict(data)
+                decode(data)
             cases += 1
     assert cases
 
